@@ -24,7 +24,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from . import __version__
 from .bench import (
@@ -64,7 +64,6 @@ from .serve import (
     Autoscaler,
     ClusterServer,
     InferenceServer,
-    ScaleOutServer,
     ShardedModel,
     available_arrivals,
     available_policies,
@@ -658,16 +657,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.placement == "shard" and args.fidelity:
+        print(
+            "error: --fidelity has no degradation hooks on sharded serving; "
+            "use --placement single or replicate",
+            file=sys.stderr,
+        )
+        return 2
     if args.placement != "single":
-        if args.fidelity:
-            print(
-                "error: --fidelity applies to single-model serving on "
-                "machine topologies (and to every cluster topology); "
-                "replicated/sharded single-machine serving has no "
-                "degradation hooks",
-                file=sys.stderr,
-            )
-            return 2
         if args.overlap:
             print(
                 "error: --overlap applies to single-model serving; "
@@ -705,56 +702,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if dataset is None:
-        dataset = getattr(models[0], "dataset", None)
-    stream = getattr(dataset, "stream", None)
-    if stream is None:
-        print(f"error: {args.model} exposes no event stream to serve", file=sys.stderr)
-        return 2
-    try:
-        arrivals = make_arrival_process(
-            args.arrival, args.rate, seed=args.seed,
-            trace_timestamps=stream.timestamps if args.arrival == "trace" else None,
-            **_parse_param(args.arrival_param),
-        )
-        requests = generate_requests(
-            stream, arrivals, duration_ms=args.duration,
-            events_per_request=args.events_per_request, slo_ms=args.slo_ms,
-        )
-        policy = _make_cli_policy(args)
+
+    def build_server(policy, stream, tracer, metrics):
         if args.backfill:
             for model in models:
                 backfill_embeddings(model, top_k=args.backfill)
-        tracer = Tracer() if args.trace else None
-        metrics = MetricsRegistry() if args.trace else None
-        label = f"{args.model}-serve-{args.placement}"
+        fidelity = make_fidelity_controller() if args.fidelity else None
         if args.placement == "replicate":
-            router = make_router(args.router, len(models))
-            scale_server = ScaleOutServer(models, policy, router,
-                                          tracer=tracer, metrics=metrics)
-            report = scale_server.serve(requests, label=label, arrival_name=args.arrival)
-        elif args.placement == "shard":
+            return ClusterServer(
+                machine, models, [0] * len(models), policy,
+                make_router(args.router, len(models)), fidelity=fidelity,
+                tracer=tracer, metrics=metrics,
+            )
+        if args.placement == "shard":
             partition = make_partition(args.partitioner, stream, len(models), seed=args.seed)
-            sharded = ShardedModel(models, partition)
-            server = InferenceServer(sharded, policy, overlap=False,
-                                     tracer=tracer, metrics=metrics)
-            report = server.serve(requests, label=label, arrival_name=args.arrival)
-        else:
-            fidelity = make_fidelity_controller() if args.fidelity else None
-            server = InferenceServer(models[0], policy, overlap=args.overlap,
-                                     fidelity=fidelity, tracer=tracer,
-                                     metrics=metrics)
-            report = server.serve(requests, label=label, arrival_name=args.arrival)
-    except (TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.format_table())
-    if tracer is not None:
-        export_trace(args.trace, tracer, report=report)
-        print(f"wrote trace to {args.trace}")
-    if not requests:
-        print("(the workload offered no requests; raise --rate or --duration)")
-    return 0
+            return InferenceServer(ShardedModel(models, partition), policy, overlap=False,
+                                   tracer=tracer, metrics=metrics)
+        return InferenceServer(models[0], policy, overlap=args.overlap, fidelity=fidelity,
+                               tracer=tracer, metrics=metrics)
+
+    return _serve_and_report(
+        args, models, dataset, f"{args.model}-serve-{args.placement}", build_server
+    )
 
 
 def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> int:
@@ -802,6 +771,38 @@ def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> i
     except (KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+    def build_server(policy, stream, tracer, metrics):
+        autoscaler = None
+        if args.autoscale:
+            autoscaler = Autoscaler(AutoscaleConfig(
+                min_replicas=args.min_replicas,
+                max_replicas=args.max_replicas or len(models),
+                slo_ms=args.slo_ms,
+            ))
+        return ClusterServer(
+            cluster, models, nodes, policy,
+            make_router(args.router, len(models)), autoscaler=autoscaler,
+            fidelity=make_fidelity_controller() if args.fidelity else None,
+            backfill_nodes=args.backfill,
+            tracer=tracer, metrics=metrics,
+        )
+
+    return _serve_and_report(args, models, dataset, f"{args.model}-serve-cluster", build_server)
+
+
+def _serve_and_report(
+    args: argparse.Namespace,
+    models: List[Any],
+    dataset: Any,
+    label: str,
+    build_server: Callable[..., Any],
+) -> int:
+    """The serve commands' shared tail: requests, then the policy, then the
+    tracer and metrics, then the server; then print and export the report.
+
+    ``build_server(policy, stream, tracer, metrics)`` returns the server.
+    """
     if dataset is None:
         dataset = getattr(models[0], "dataset", None)
     stream = getattr(dataset, "stream", None)
@@ -819,26 +820,10 @@ def _cmd_serve_cluster(args: argparse.Namespace, overrides: Dict[str, Any]) -> i
             events_per_request=args.events_per_request, slo_ms=args.slo_ms,
         )
         policy = _make_cli_policy(args)
-        autoscaler = None
-        if args.autoscale:
-            config = AutoscaleConfig(
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas or len(models),
-                slo_ms=args.slo_ms,
-            )
-            autoscaler = Autoscaler(config)
         tracer = Tracer() if args.trace else None
         metrics = MetricsRegistry() if args.trace else None
-        server = ClusterServer(
-            cluster, models, nodes, policy,
-            make_router(args.router, len(models)), autoscaler=autoscaler,
-            fidelity=make_fidelity_controller() if args.fidelity else None,
-            backfill_nodes=args.backfill,
-            tracer=tracer, metrics=metrics,
-        )
-        report = server.serve(
-            requests, label=f"{args.model}-serve-cluster", arrival_name=args.arrival
-        )
+        server = build_server(policy, stream, tracer, metrics)
+        report = server.serve(requests, label=label, arrival_name=args.arrival)
     except (TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

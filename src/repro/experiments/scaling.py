@@ -28,8 +28,8 @@ from ..graph.partition import make_partition
 from ..hw.machine import Machine
 from ..models.tgat import TGAT, TGATConfig
 from ..serve import (
+    ClusterServer,
     InferenceServer,
-    ScaleOutServer,
     ShardedModel,
     applicable_policy_overrides,
     build_replicas,
@@ -177,7 +177,10 @@ def run(
             )
             label = f"tgat-{spec}-{placement}-u{utilization:g}"
             if placement == "replicate":
-                server = ScaleOutServer(replicas, scheduler, make_router(router, len(replicas)))
+                server = ClusterServer(
+                    replicas[0].machine, replicas, [0] * len(replicas), scheduler,
+                    make_router(router, len(replicas)),
+                )
                 report = server.serve(requests, label=label, arrival_name=arrival)
             elif placement == "shard":
                 partition = make_partition(partitioner, dataset.stream, len(replicas), seed=seed)

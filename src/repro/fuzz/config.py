@@ -141,9 +141,9 @@ def draw_config(rng: random.Random) -> FuzzConfig:
                 else None
             ),
             # Adaptive fidelity rides only on the slo policy's deadline
-            # signal and the single-model server's degradation hooks.
+            # signal; sharded serving has no per-shard degradation levers.
             "fidelity": (
-                placement == "single" and policy == "slo" and rng.random() < 0.5
+                placement != "shard" and policy == "slo" and rng.random() < 0.5
             ),
             # Span tracer + metrics registry riding on the episode; the
             # trace-conservation invariant then checks span arithmetic and

@@ -544,9 +544,9 @@ class Execution:
         from ..graph.partition import make_partition
         from ..models.tgat import TGAT, TGATConfig
         from ..serve import (
+            ClusterServer,
             InferenceServer,
             PoissonProcess,
-            ScaleOutServer,
             ShardedModel,
             applicable_policy_overrides,
             build_replicas,
@@ -592,28 +592,25 @@ class Execution:
 
             tracer = Tracer()
             metrics = MetricsRegistry()
+        fidelity = make_fidelity_controller() if serving.get("fidelity") else None
         if serving["placement"] == "replicate" and len(replicas) > 1:
-            server = ScaleOutServer(
-                replicas, policy, make_router(serving["router"], len(replicas)),
-                tracer=tracer, metrics=metrics,
+            server = ClusterServer(
+                machine, replicas, [0] * len(replicas), policy,
+                make_router(serving["router"], len(replicas)),
+                fidelity=fidelity, tracer=tracer, metrics=metrics,
             )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
         elif serving["placement"] == "shard" and len(replicas) > 1:
             partition = make_partition("degree", dataset.stream, len(replicas), seed=0)
             server = InferenceServer(
                 ShardedModel(replicas, partition), policy, overlap=False,
                 tracer=tracer, metrics=metrics,
             )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
         else:
-            fidelity = (
-                make_fidelity_controller() if serving.get("fidelity") else None
-            )
             server = InferenceServer(
                 replicas[0], policy, overlap=serving["overlap"], fidelity=fidelity,
                 tracer=tracer, metrics=metrics,
             )
-            report = server.serve(requests, label="fuzz", arrival_name="poisson")
+        report = server.serve(requests, label="fuzz", arrival_name="poisson")
         self.serve_machine = machine
         self.serve_report = report
         self.serve_tracer = tracer

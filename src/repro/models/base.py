@@ -172,7 +172,7 @@ class DGNNModel(Module):
     def supports_async_dispatch(self) -> bool:
         """Whether the model implements ``dispatch_iteration``.
 
-        The scale-out serving layer (:mod:`repro.serve.scaleout`) runs model
+        The replicated serving layer (:mod:`repro.serve.cluster`) runs model
         replicas concurrently by *dispatching* batches -- host-side sampling
         plus asynchronous kernel launches, no trailing synchronisation --
         and retiring each batch at the ready time of the returned

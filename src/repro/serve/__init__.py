@@ -10,22 +10,24 @@ throughput numbers under load.  It simulates an online serving stack on the
 * :mod:`repro.serve.batcher` / :mod:`repro.serve.policy` -- a request queue
   with dynamic batching under pluggable scheduler policies (FIFO, timeout
   batching, SLO-aware batch shrinking);
-* :mod:`repro.serve.server` -- the serving loop, with blocking execution or
-  the stream-based sampling/compute overlap of :mod:`repro.optim`;
+* :mod:`repro.serve.core` -- the serving loop every server shares:
+  admission, batching, fidelity, tracing and completion bookkeeping;
+* :mod:`repro.serve.server` -- one model on one machine, with blocking
+  execution or the stream-based sampling/compute overlap of
+  :mod:`repro.optim`;
 * :mod:`repro.serve.fidelity` -- adaptive fidelity: a degradation controller
   the SLO policy consults under deadline pressure, trading modeled quality
   (fan-out, staleness, forced cache hits) for latency and accounting the
   debt;
 * :mod:`repro.serve.router` / :mod:`repro.serve.placement` /
-  :mod:`repro.serve.scaleout` -- multi-GPU scale-out: replicated serving
-  (per-GPU model replicas behind a batch router) and sharded serving (a
-  seeded graph partition splitting each batch across GPUs, with cross-shard
-  gathers charged to the interconnect);
-* :mod:`repro.serve.cluster` / :mod:`repro.serve.autoscale` -- cluster-scale
-  serving: replicas spread over the nodes of a :class:`~repro.hw.Cluster`
-  with batch payloads routed over NICs, plus an elastic autoscaler that
-  grows/shrinks the active fleet against watermark and SLO signals, with
-  modeled cold-start charges;
+  :mod:`repro.serve.cluster` -- multi-GPU scale-out: replicated serving
+  (per-GPU model replicas behind a batch router, on one machine or over the
+  nodes of a :class:`~repro.hw.Cluster` with batch payloads routed over
+  NICs) and sharded serving (a seeded graph partition splitting each batch
+  across GPUs, with cross-shard gathers charged to the interconnect);
+* :mod:`repro.serve.autoscale` -- an elastic autoscaler that grows/shrinks
+  the active replica fleet against watermark and SLO signals, with modeled
+  cold-start charges;
 * :mod:`repro.serve.telemetry` -- per-request queue/service/total latency,
   p50/p95/p99 percentiles, throughput, SLO-violation rate and per-device
   utilization.
@@ -43,7 +45,6 @@ from .fidelity import (
     FidelityController,
     FidelityDecision,
     make_fidelity_controller,
-    merge_fidelity,
 )
 from .placement import ShardedModel, build_replicas
 from .policy import (
@@ -68,7 +69,6 @@ from .router import (
     available_routers,
     make_router,
 )
-from .scaleout import ScaleOutServer
 from .server import InferenceServer
 from .telemetry import ServingReport
 from .workload import (
@@ -111,7 +111,6 @@ __all__ = [
     "Router",
     "SLOAwarePolicy",
     "ScaleEvent",
-    "ScaleOutServer",
     "SchedulerPolicy",
     "ServiceTimeEstimator",
     "ServingReport",
@@ -127,7 +126,6 @@ __all__ = [
     "generate_requests",
     "make_arrival_process",
     "make_fidelity_controller",
-    "merge_fidelity",
     "make_policy",
     "make_router",
     "payload_nbytes",

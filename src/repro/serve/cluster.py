@@ -1,29 +1,38 @@
-"""Cluster-scale serving: replicas spanning nodes, routed over NICs.
+"""Replicated serving: N model replicas behind a router, on one machine or a cluster.
 
-:class:`ClusterServer` lifts the single-machine
-:class:`~repro.serve.scaleout.ScaleOutServer` loop onto a multi-node
-:class:`~repro.hw.Cluster`.  Node 0 is the *front-end*: it owns the arrival
-queue, the dynamic batcher and the router, and its host clock drives the
-serving loop -- exactly the single-machine loop when the cluster has one
-node, which keeps single-node runs event-for-event identical to the
-scale-out server on a plain machine.
+:class:`ClusterServer` runs the shared serving loop of
+:class:`~repro.serve.core.ServingCore` -- one host clock, one request queue,
+one scheduler policy -- over a fleet of data-parallel model replicas.  Its
+first argument is either a multi-node :class:`~repro.hw.Cluster` or a bare
+:class:`~repro.hw.machine.Machine`, which it serves as a one-node fleet.
+Node 0 is the *front-end*: it owns the arrival queue, the dynamic batcher
+and the router, and its host clock drives the loop.
 
-What changes with several nodes is where a routed batch lands:
+Execution is asynchronous.  A formed batch is handed to a
+:class:`~repro.serve.router.Router`, which picks a replica (round-robin,
+join-shortest-queue, or least estimated latency), and the replica
+*dispatches* it (``dispatch_iteration``):
 
-* a batch routed to a **node-0 replica** dispatches exactly as on the
-  scale-out server (per-replica CPU sampling stream, async GPU kernels);
+* a batch routed to a **node-0 replica** issues its sampling on that
+  replica's own CPU sampling-worker stream (the simulator's model of
+  per-replica data-loader threads), floors the replica's GPU stream on the
+  sampling-done event and launches the kernels without a trailing sync.
+  The host pays only dispatch overheads, so batches routed to different
+  replicas execute concurrently in simulated time -- this is where N GPUs
+  buy throughput, until host work per batch exceeds ``device work / N``;
 * a batch routed to a **remote replica** first ships its event payload over
   the node-pair NIC (:meth:`~repro.hw.Cluster.transfer`), then the remote
   node's *own* host -- synced forward to the payload's arrival -- runs the
-  sampling and kernel dispatch.  The front-end pays only the NIC issue
-  overhead, so remote dispatches overlap with everything the front-end does
-  next.  This is how the single-host dispatch wall falls: per-batch host
-  work is spread over N host threads instead of serializing on one.
+  same dispatch.  The front-end pays only the NIC issue overhead, so the
+  single-host dispatch wall falls: per-batch host work is spread over N
+  host threads instead of serializing on one.
 
-Completion events carry times in the shared cluster frame, so the front-end
-retires batches from any node with the same cursor-passing rule.  Replica
-caches stay coherent cluster-wide: a dispatched batch's touched nodes are
-invalidated in every other replica's cache, remote or not.
+The returned :class:`~repro.hw.stream.StreamEvent` carries the batch's
+completion time in the shared cluster frame, so the loop retires batches
+from any node as the front-end cursor passes their ready times.  A batch
+probes only its own replica's cache, but its events are graph mutations for
+every replica, so the server invalidates the touched nodes in every other
+replica's cache, remote or not; the report merges the per-replica counters.
 
 With an :class:`~repro.serve.autoscale.Autoscaler` attached the active
 replica set becomes elastic: the server provides the spin-up charge (weight
@@ -33,16 +42,16 @@ spin-down (cache flush), and consults the autoscaler every loop step.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from ..cache import backfill_embeddings, merge_cache_stats
-from ..core.profiler import Profiler
 from ..hw.cluster import Cluster
+from ..hw.machine import Machine
 from ..hw.stream import StreamEvent
-from ..obs.metrics import MetricsRegistry, record_completion, record_dispatch
+from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from .autoscale import Autoscaler
-from .batcher import DynamicBatcher
+from .core import ServingCore
 from .fidelity import FidelityController
 from .placement import build_replicas
 from .policy import SchedulerPolicy
@@ -92,12 +101,12 @@ def payload_nbytes(payload: Any) -> int:
     return max(total, 1)
 
 
-class ClusterServer:
-    """Serves a request list against replicas spread over a cluster."""
+class ClusterServer(ServingCore):
+    """Serves a request list against replicas on a machine or a cluster."""
 
     def __init__(
         self,
-        cluster: Cluster,
+        cluster: Union[Cluster, Machine],
         replicas: Sequence[Any],
         replica_nodes: Sequence[int],
         policy: SchedulerPolicy,
@@ -109,9 +118,11 @@ class ClusterServer:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not replicas:
-            raise ValueError("cluster serving needs at least one replica")
-        if fidelity is not None and not callable(getattr(policy, "attach_fidelity", None)):
-            raise TypeError("adaptive fidelity requires the 'slo' policy")
+            raise ValueError("replicated serving needs at least one replica")
+        #: The multi-node cluster, or ``None`` when serving a bare machine.
+        self.cluster = cluster if isinstance(cluster, Cluster) else None
+        self.nodes = cluster.nodes if self.cluster is not None else (cluster,)
+        self.multi_node = len(self.nodes) > 1
         if len(replica_nodes) != len(replicas):
             raise ValueError("replica_nodes must map every replica to a node")
         if router.num_replicas != len(replicas):
@@ -120,39 +131,24 @@ class ClusterServer:
             if not getattr(replica, "supports_async_dispatch", False):
                 raise TypeError(
                     f"{type(replica).__name__} does not implement "
-                    "dispatch_iteration; cluster serving requires the "
+                    "dispatch_iteration; replicated serving requires the "
                     "async dispatch protocol"
                 )
-            if not 0 <= node_index < cluster.num_nodes:
+            if not 0 <= node_index < len(self.nodes):
                 raise ValueError(f"replica node {node_index} out of range")
-            if replica.machine is not cluster.nodes[node_index]:
+            if replica.machine is not self.nodes[node_index]:
                 raise ValueError("replica is not placed on its declared node's machine")
-        self.cluster = cluster
-        self.replicas = list(replicas)
+        super().__init__(policy, fidelity, tracer, metrics)
+        self.models = self.replicas = list(replicas)
         self.replica_nodes = list(replica_nodes)
-        self.policy = policy
         self.router = router
         self.autoscaler = autoscaler
-        self.fidelity = fidelity
         self.backfill_nodes = int(backfill_nodes)
-        #: Optional observability taps (see :mod:`repro.obs`); read-only for
-        #: the simulation, zero objects on the hot path when ``None``.
-        self.tracer = tracer
-        self.metrics = metrics
-        if fidelity is not None:
-            policy.attach_fidelity(fidelity)
-        self.batcher = DynamicBatcher(policy)
         self._inflight: List[_Inflight] = []
+        #: Per-replica ready time of the last retired batch, used to split a
+        #: batch's dispatch->completion span into queue-behind-own-replica
+        #: versus actual execution.
         self._last_ready: List[float] = [0.0] * len(self.replicas)
-        self._t0 = 0.0
-        self._fidelity_level = 0
-
-    @property
-    def machine(self):
-        """The front-end node's machine (node 0)."""
-        return self.cluster.nodes[0]
-
-    # -- public API -----------------------------------------------------------
 
     def serve(
         self,
@@ -162,95 +158,38 @@ class ClusterServer:
         warm_up: bool = True,
     ) -> ServingReport:
         """Serve ``requests`` to completion and return the telemetry report."""
-        front = self.machine
-        report = ServingReport(
-            label=label,
-            policy=self.policy.describe(),
-            arrival=arrival_name,
-            offered=len(requests),
-            overlap=False,
-            placement="replicate",
-            router=self.router.describe(),
-            num_replicas=len(self.replicas),
+        return self._serve(
+            requests, label, arrival_name, warm_up,
+            placement="replicate", router=self.router.describe(), num_replicas=len(self.replicas),
         )
-        if not requests:
-            return report
-        ordered = sorted(requests, key=lambda r: (r.arrival_ms, r.request_id))
-        if self.fidelity is not None:
-            self.fidelity.set_cache_available(
-                any(getattr(replica, "cache", None) is not None for replica in self.replicas)
-            )
-        if self.tracer is not None and not self.tracer.attached(front):
-            self.tracer.attach_cluster(self.cluster)
-        with front.activate():
-            if warm_up:
-                head = [r.payload for r in ordered[: self.policy.max_batch_size]]
-                batch = self.replicas[0].make_request_batch(head)
-                for replica, node_index in zip(self.replicas, self.replica_nodes):
-                    if node_index == 0:
-                        replica.warm_up(batch)
-                    else:
-                        with self.cluster.nodes[node_index].activate():
-                            replica.warm_up(batch)
-                    # Proactive warming: precompute hot-node embeddings into
-                    # each replica's cache before the first request, charged
-                    # to the owning node (backfill_embeddings activates the
-                    # replica's own machine) and drained by the barrier below.
-                    if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
-                        backfill_embeddings(replica, top_k=self.backfill_nodes)
-                # A real barrier, not just clock alignment: remote warm-up
-                # ships weights over the NICs, and serving must not start
-                # while those payloads are still in flight.  With one node
-                # there are no NICs and nothing cluster-wide to drain, and
-                # the hard sync would break byte-identity with the plain
-                # ScaleOutServer (which never joins the streams here).
-                if self.cluster.num_nodes > 1:
-                    self.cluster.synchronize()
-                else:
-                    self.cluster.sync_all()
-            profiler = Profiler(front)
-            with profiler.capture(label):
-                completed, duration_ms = self._loop(ordered)
-        if self.cluster.num_nodes > 1:
-            self.cluster.synchronize()
+
+    def _attach_tracer(self) -> None:
+        if self.cluster is None:
+            super()._attach_tracer()
         else:
-            self.cluster.sync_all()
-        profile = profiler.last_profile
-        report.requests = completed
-        report.duration_ms = duration_ms
-        report.gpu_utilization = profile.gpu_utilization()
-        multi_node = self.cluster.num_nodes > 1
-        # On multi-node runs every per-device key is node-qualified
-        # (``node<i>:<gpu>``): node machines share GPU names, and bare names
-        # from node 0 would collide with (or be mistaken for) remote ones.
-        # Single-node clusters keep bare names, identical to ScaleOutServer.
-        report.per_device_utilization = {
-            (f"node0:{name}" if multi_node else name): value
-            for name, value in profile.per_gpu_utilization().items()
-        }
-        report.cluster = {
-            "spec": self.cluster.spec.name,
-            "num_nodes": self.cluster.num_nodes,
-            "nic": self.cluster.spec.nic.name,
-            "nic_bytes": self.cluster.nic_bytes(),
-        }
-        if profile.elapsed_ms > 0:
-            report.cpu_utilization = min(1.0, profile.device_busy_ms("cpu") / profile.elapsed_ms)
-            # Remote nodes are outside the front-end profiler's machine;
-            # read their device busy fractions over the same window.
-            start = profile.start_ms
-            end = profile.start_ms + profile.elapsed_ms
-            for node_index, node in enumerate(self.cluster.nodes):
-                if node_index == 0:
-                    continue
-                for gpu in node.gpus:
-                    key = f"node{node_index}:{gpu.name}"
-                    report.per_device_utilization[key] = gpu.utilization(start, end)
-            if multi_node:
-                report.cluster["nic_busy"] = {
-                    link.name: round(link.busy_ms(start, end) / profile.elapsed_ms, 4)
-                    for link in self.cluster.nic_links
-                }
+            self.tracer.attach_cluster(self.cluster)
+
+    def _warm_up(self, head: List[Any]) -> None:
+        batch = self.replicas[0].make_request_batch(head)
+        for replica, node_index in zip(self.replicas, self.replica_nodes):
+            with self.nodes[node_index].activate():
+                replica.warm_up(batch)
+            # Proactive warming: precompute hot-node embeddings into each
+            # replica's cache before the first request, charged to the owning
+            # node (backfill_embeddings activates the replica's own machine)
+            # and drained by the barrier below.
+            if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
+                backfill_embeddings(replica, top_k=self.backfill_nodes)
+        # A real barrier, not just clock alignment: remote warm-up ships
+        # weights over the NICs, and serving must not start while those
+        # payloads are still in flight.  One node has nothing to drain, and
+        # a hard sync there would join streams the loop expects to overlap.
+        if self.multi_node:
+            self.cluster.synchronize()
+
+    def _finish_report(self, report: ServingReport, profile: Any) -> None:
+        if self.multi_node:
+            self.cluster.synchronize()
         report.cache = merge_cache_stats(
             [
                 replica.cache_stats()
@@ -259,106 +198,100 @@ class ClusterServer:
             ]
         )
         if self.autoscaler is not None:
-            report.autoscale = self.autoscaler.stats(duration_ms)
-        if self.fidelity is not None:
-            report.fidelity = self.fidelity.snapshot()
-        if self.metrics is not None:
-            report.metrics = self.metrics.snapshot(duration_ms)
-        return report
+            report.autoscale = self.autoscaler.stats(report.duration_ms)
+        if self.cluster is None:
+            return
+        report.cluster = {
+            "spec": self.cluster.spec.name,
+            "num_nodes": self.cluster.num_nodes,
+            "nic": self.cluster.spec.nic.name,
+            "nic_bytes": self.cluster.nic_bytes(),
+        }
+        if not self.multi_node:
+            return
+        # On multi-node runs every per-device key is node-qualified
+        # (``node<i>:<gpu>``): node machines share GPU names, and bare names
+        # from node 0 would collide with (or be mistaken for) remote ones.
+        report.per_device_utilization = {
+            f"node0:{name}": value for name, value in report.per_device_utilization.items()
+        }
+        if profile.elapsed_ms <= 0:
+            return
+        # Remote nodes are outside the front-end profiler's machine; read
+        # their device busy fractions over the same window.
+        start = profile.start_ms
+        end = profile.start_ms + profile.elapsed_ms
+        for node_index, node in enumerate(self.nodes[1:], start=1):
+            for gpu in node.gpus:
+                key = f"node{node_index}:{gpu.name}"
+                report.per_device_utilization[key] = gpu.utilization(start, end)
+        report.cluster["nic_busy"] = {
+            link.name: round(link.busy_ms(start, end) / profile.elapsed_ms, 4)
+            for link in self.cluster.nic_links
+        }
 
-    # -- serving loop -----------------------------------------------------------
+    # -- the loop hooks -------------------------------------------------------
 
-    def _loop(self, requests: Sequence[Request]) -> Tuple[List[Request], float]:
-        front = self.machine
-        t0 = front.host_time_ms
-        self._t0 = t0
-        if self.tracer is not None:
-            self.tracer.t0 = t0
-        autoscaler = self.autoscaler
-        if autoscaler is not None:
-            autoscaler.bind(
+    def _loop(self, requests: Sequence[Request]) -> float:
+        if self.autoscaler is not None:
+            self.autoscaler.bind(
                 self.router,
                 len(self.replicas),
                 spin_up=self._spin_up,
                 spin_down=self._spin_down,
                 now_ms=0.0,
             )
-        completed: List[Request] = []
-        index = 0
-        while True:
-            self._retire(t0, completed)
-            now = front.host_time_ms - t0
-            while index < len(requests) and requests[index].arrival_ms <= now + 1e-9:
-                if autoscaler is not None:
-                    autoscaler.observe_arrival(requests[index].arrival_ms)
-                self.batcher.enqueue(requests[index])
-                index += 1
-            if autoscaler is not None:
-                autoscaler.step(now)
-            batch = self.batcher.poll(now)
-            if batch:
-                self._dispatch(batch, t0)
-                continue
-            # Idle: advance the front-end clock to the next actionable
-            # instant -- an arrival, a batching deadline, an in-flight
-            # completion, or a warming replica coming online.
-            targets = []
-            if index < len(requests):
-                targets.append(requests[index].arrival_ms)
-            deadline = self.batcher.next_deadline_ms(now)
-            if deadline is not None:
-                targets.append(deadline)
-            if self._inflight:
-                targets.append(min(e.ready_ms for _, _, e, _, _ in self._inflight) - t0)
-            if autoscaler is not None:
-                pending_ready = autoscaler.next_ready_ms()
-                if pending_ready is not None:
-                    targets.append(pending_ready)
-            if not targets:
-                if len(self.batcher) == 0:
-                    break
-                # Arrivals exhausted and the policy would wait forever: drain.
-                self._dispatch(self.batcher.force(now), t0)
-                continue
-            front.advance_host(max(min(targets) - now, 1e-6))
-        return (completed, front.host_time_ms - t0)
+        return super()._loop(requests)
+
+    def _admit(self, request: Request) -> None:
+        if self.autoscaler is not None:
+            self.autoscaler.observe_arrival(request.arrival_ms)
+        self.batcher.enqueue(request)
+
+    def _poll(self, now: float) -> List[Request]:
+        if self.autoscaler is not None:
+            self.autoscaler.step(now)
+        return self.batcher.poll(now)
+
+    def _wake_targets(self, targets: List[float]) -> None:
+        """In-flight completions and warming replicas coming online."""
+        if self._inflight:
+            targets.append(min(e.ready_ms for _, _, e, _, _ in self._inflight) - self._t0)
+        if self.autoscaler is not None:
+            pending_ready = self.autoscaler.next_ready_ms()
+            if pending_ready is not None:
+                targets.append(pending_ready)
 
     # -- execution ---------------------------------------------------------------
 
-    def _dispatch(self, batch: List[Request], t0: float) -> None:
+    def _dispatch(self, batch: List[Request], now: float) -> None:
         """Route one formed batch to a replica, locally or across the NIC.
 
-        Node-0 replicas follow the scale-out server's dispatch to the
-        letter.  Remote replicas first receive the batch's event payload
-        over the NIC; the front-end pays only the transfer issue overhead
-        while the remote node's host -- aligned to the payload's arrival --
-        runs the sampling-worker prepare and the kernel dispatch on its own
-        clock, concurrently with the front-end's next work.
+        Remote replicas first receive the batch's event payload over the
+        NIC; the front-end pays only the transfer issue overhead while the
+        remote node's host -- aligned to the payload's arrival -- runs the
+        sampling-worker prepare and the kernel dispatch on its own clock,
+        concurrently with the front-end's next work.  (The batch's input
+        copies are issued at dispatch time, a staging approximation; they are
+        orders of magnitude shorter than the sampling they follow.)
         """
         front = self.machine
-        now = front.host_time_ms - t0
         target = self.router.route(len(batch), now)
         node_index = self.replica_nodes[target]
         replica = self.replicas[target]
-        cost_scale = self._degrade(batch, now, replica)
-        tracer = self.tracer
-        span_id = None
-        cursor = 0
-        if tracer is not None:
-            span_id, cursor = self._trace_dispatch(tracer, batch, target, node_index, t0, now)
-        if self.metrics is not None:
-            record_dispatch(self.metrics, len(batch), len(self.batcher))
-        payload = replica.make_request_batch([r.payload for r in batch])
+        payload, cost_scale, span_id, cursor = self._open(
+            batch, now, replica, f"batch-r{target}", replica.machine,
+            replica=target, node_index=node_index,
+        )
         for request in batch:
-            request.dispatched_ms = now
-            request.batch_size = len(batch)
             request.replica = target
+        tracer = self.tracer
         if node_index == 0:
             ready = self._dispatch_on(front, replica, target, payload, span_id)
             if span_id is not None:
                 tracer.record_slice(span_id, front, cursor)
         else:
-            remote = self.cluster.nodes[node_index]
+            remote = self.nodes[node_index]
             if span_id is not None:
                 # Bind the request context so the NIC hop recorded down in
                 # Cluster.transfer lands in this batch's span tree.
@@ -384,78 +317,14 @@ class ClusterServer:
         self._inflight.append((batch, target, ready, cost_scale, span_id))
         self._broadcast_invalidation(target, payload)
 
-    def _trace_dispatch(
-        self, tracer: Tracer, batch: List[Request], target: int, node_index: int, t0: float, now: float
-    ) -> Tuple[int, int]:
-        """Open the batch's service span (on its serving node) and the queue
-        spans of its riders (on the front-end node that held them)."""
-        front = self.machine
-        ids = tuple(r.request_id for r in batch)
-        span_id = tracer.open_span(
-            f"batch-r{target}",
-            "service",
-            t0 + now,
-            node=tracer.node_of(self.replicas[target].machine),
-            trace_ids=ids,
-            replica=target,
-            node_index=node_index,
-        )
-        front_node = tracer.node_of(front)
-        for request in batch:
-            tracer.span(
-                "queue",
-                "queue",
-                t0 + request.arrival_ms,
-                t0 + now,
-                node=front_node,
-                trace_ids=(request.request_id,),
-            )
-        return span_id, front.event_cursor()
-
-    def _degrade(self, batch: List[Request], now_ms: float, replica: Any) -> float:
-        """Advance the fidelity controller and apply its levers to ``replica``.
-
-        Each replica owns its model and cache, so the decision is applied to
-        the batch's *target* only; other replicas keep whatever level their
-        last dispatch set.  Returns the batch's modeled cost scale (1.0 when
-        fidelity is off -- no model or cache state is touched)."""
-        if self.fidelity is None:
-            return 1.0
-        pressured = False
-        probe = getattr(self.policy, "deadline_pressured", None)
-        if probe is not None:
-            pressured = probe(batch, now_ms)
-        lost = sum(
-            1
-            for request in batch
-            if request.deadline_ms is not None and request.deadline_ms <= now_ms
-        )
-        decision = self.fidelity.on_dispatch(pressured, len(batch), lost_deadlines=lost)
-        setter = getattr(replica, "set_fanout_scale", None)
-        if setter is not None:
-            setter(decision.fanout_scale)
-        cache = getattr(replica, "cache", None)
-        if cache is not None:
-            cache.set_fidelity(decision.staleness_scale, decision.force_hits)
-        if self.tracer is not None and decision.level != self._fidelity_level:
-            self.tracer.instant(
-                f"fidelity:level={decision.level}",
-                "fidelity",
-                self.machine.host_time_ms,
-                node=self.tracer.node_of(self.machine),
-                previous=self._fidelity_level,
-            )
-        self._fidelity_level = decision.level
-        return decision.cost_scale
-
     def _dispatch_on(
         self, machine, replica, target: int, payload: Any, span_id: Optional[int] = None
     ) -> StreamEvent:
-        """The scale-out dispatch body, on whichever node hosts the replica."""
+        """The replica dispatch body, on whichever node hosts the replica."""
         plan = None
         if getattr(replica, "supports_overlap", False):
             issue_ms = machine.host_time_ms
-            worker = machine.stream(machine.cpu, self.sampling_stream(target))
+            worker = machine.stream(machine.cpu, f"serve-sampling-{target}")
             with machine.use_stream(worker):
                 plan = replica.prepare_iteration(payload)
                 prepared = machine.record_event(worker, name=f"prepared-r{target}")
@@ -478,9 +347,13 @@ class ClusterServer:
     def _broadcast_invalidation(self, origin: int, payload: Any) -> None:
         """Invalidate the batch's touched nodes in every *other* replica cache.
 
-        Cluster-wide coherence: remote replicas' caches also predate the
-        batch's events.  Each invalidation is charged to the owning
-        replica's node (its host processes the coherence message)."""
+        The origin replica's own cache already handled the batch (its
+        request path invalidates and re-inserts); the other replicas, remote
+        ones included, only learn that the touched nodes' cached
+        samples/embeddings now predate new graph events.  Each invalidation
+        is charged to the owning replica's node (its host processes the
+        coherence message).
+        """
         touched = None
         for index, replica in enumerate(self.replicas):
             if index == origin:
@@ -501,49 +374,29 @@ class ClusterServer:
                 nodes=len(touched),
             )
 
-    @staticmethod
-    def sampling_stream(replica_index: int) -> str:
-        """Name of one replica's CPU sampling-worker stream."""
-        return f"serve-sampling-{replica_index}"
-
-    def _retire(self, t0: float, completed: List[Request]) -> None:
+    def _retire(self) -> None:
         """Complete every in-flight batch the front-end cursor has passed.
 
-        Identical feedback split to the scale-out server: the policy sees
-        the dispatch->completion span, the router the execution-only span.
-        Completion events from remote nodes carry shared-frame times, so
-        the same cursor rule applies regardless of the serving node.
+        The policy observes the full dispatch->completion span (what a
+        request experiences once batched).  The router instead observes the
+        batch's *execution* time -- the span excluding time queued behind
+        earlier batches on the same replica -- because its least-latency
+        estimate multiplies the per-request cost by the in-flight count, and
+        feeding it queue-inclusive samples would count the backlog twice.
+        Completion events from remote nodes carry shared-frame times, so the
+        same cursor rule applies regardless of the serving node.
         """
-        front = self.machine
+        horizon = self.machine.host_time_ms + 1e-9
         still_inflight: List[_Inflight] = []
-        for batch, target, ready, cost_scale, span_id in self._inflight:
-            if ready.ready_ms > front.host_time_ms + 1e-9:
-                still_inflight.append((batch, target, ready, cost_scale, span_id))
+        for entry in self._inflight:
+            batch, target, ready, cost_scale, span_id = entry
+            if ready.ready_ms > horizon:
+                still_inflight.append(entry)
                 continue
-            done = ready.ready_ms - t0
-            for request in batch:
-                request.completed_ms = done
-            completed.extend(batch)
-            if span_id is not None:
-                self.tracer.close_span(span_id, ready.ready_ms)
-            if self.metrics is not None:
-                for request in batch:
-                    record_completion(self.metrics, request)
-            dispatched = batch[0].dispatched_ms
-            service_ms = done - dispatched if dispatched is not None else 0.0
-            started = max(
-                self._last_ready[target],
-                dispatched + t0 if dispatched is not None else t0,
-            )
-            execution_ms = max(0.0, ready.ready_ms - started)
+            done = self._complete(batch, ready.ready_ms, cost_scale, span_id)
+            started = max(self._last_ready[target], batch[0].dispatched_ms + self._t0)
             self._last_ready[target] = ready.ready_ms
-            # Normalize the policy's feedback to full-quality cost: the EWMA
-            # must keep estimating what an *undegraded* batch costs, or a
-            # degraded period would talk the policy out of degrading.  The
-            # router keeps the raw span -- load balancing cares about what
-            # the replica actually spent.
-            self.policy.observe(len(batch), service_ms / cost_scale)
-            self.router.notify_complete(target, len(batch), execution_ms)
+            self.router.notify_complete(target, len(batch), max(0.0, ready.ready_ms - started))
             if self.autoscaler is not None:
                 for request in batch:
                     self.autoscaler.observe_completion(done, request.total_ms)
@@ -574,24 +427,24 @@ class ClusterServer:
         if node_index == 0 and not device.is_gpu:
             return now_ms  # host-resident replica: nothing to ship
         front = self.machine
-        destination = device if device.is_gpu else self.cluster.nodes[node_index].cpu
-        nbytes = 0
+        node = self.nodes[node_index]
+        destination = device if device.is_gpu else node.cpu
+        nbytes = 1
         if callable(getattr(replica, "param_bytes", None)):
-            nbytes = int(replica.param_bytes())
-        arrival = self.cluster.transfer(
-            0,
-            front.cpu,
-            node_index,
-            destination,
-            max(nbytes, 1),
-            name="weight_transfer",
-        )
+            nbytes = max(int(replica.param_bytes()), 1)
+        if self.cluster is not None:
+            arrival = self.cluster.transfer(
+                0, front.cpu, node_index, destination, nbytes, name="weight_transfer"
+            )
+        else:
+            # Cluster.transfer's same-node path, on the bare machine.
+            front.transfer(front.cpu, destination, nbytes, name="weight_transfer", non_blocking=True)
+            arrival = front.topology.route(front.cpu, destination)[-1].link.free_at
         ready_ms = arrival
         # Re-warm the flushed cache as part of the cold start: the replica
         # only joins the fleet once its hot rows are back, so the backfill
         # charge lands inside the modeled spin-up latency.
         if self.backfill_nodes > 0 and getattr(replica, "cache", None) is not None:
-            node = self.cluster.nodes[node_index]
             if node_index != 0:
                 self.cluster.sync_node(node_index, arrival)
             backfill_embeddings(replica, top_k=self.backfill_nodes)

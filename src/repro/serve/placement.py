@@ -7,7 +7,7 @@ Two scale-out placements sit on top of the N-GPU
   each constructed inside ``machine.placement(gpu_i)`` so its weights,
   feature tables and kernels land on its own device.  A router
   (:mod:`repro.serve.router`) spreads batches across the replicas; see
-  :class:`~repro.serve.scaleout.ScaleOutServer`.
+  :class:`~repro.serve.cluster.ClusterServer`.
 * **Sharding** (:class:`ShardedModel`): the graph's node space is split by a
   seeded :class:`~repro.graph.partition.GraphPartition`; each batch is
   divided by event ownership, every shard computes on its own GPU, and the

@@ -36,6 +36,12 @@ from ..graph.events import EventStream
 from .request import Request
 
 
+def _require_positive(value: float, what: str) -> None:
+    """Reject NaN, infinities and non-positive values with a clear error."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
+
+
 class ArrivalProcess:
     """Base class: a seeded generator of request arrival times (ms)."""
 
@@ -43,8 +49,7 @@ class ArrivalProcess:
     name: str = "arrivals"
 
     def __init__(self, rate_per_s: float, seed: int = 0) -> None:
-        if rate_per_s <= 0:
-            raise ValueError("arrival rate must be positive")
+        _require_positive(rate_per_s, "arrival rate")
         self.rate_per_s = float(rate_per_s)
         self.seed = int(seed)
         self.rng = random.Random(seed)
@@ -57,8 +62,7 @@ class ArrivalProcess:
         self, duration_ms: float, max_requests: Optional[int] = None
     ) -> Iterator[float]:
         """Arrival times in ``[0, duration_ms)``, at most ``max_requests``."""
-        if duration_ms <= 0:
-            raise ValueError("duration must be positive")
+        _require_positive(duration_ms, "duration")
         now = 0.0
         count = 0
         while True:
@@ -335,6 +339,8 @@ def generate_requests(
     """
     if events_per_request <= 0:
         raise ValueError("events_per_request must be positive")
+    if slo_ms is not None:
+        _require_positive(slo_ms, "slo_ms")
     max_requests = stream.num_events // events_per_request
     requests: List[Request] = []
     for index, arrival in enumerate(

@@ -19,8 +19,8 @@ from repro.graph.partition import make_partition
 from repro.hw.machine import Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import (
+    ClusterServer,
     InferenceServer,
-    ScaleOutServer,
     ShardedModel,
     build_replicas,
     generate_requests,
@@ -83,7 +83,10 @@ def _serve(backend, *, overlap=True, cached=False, placement="single"):
     policy = make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0)
     label = f"eq-{placement}"
     if placement == "replicate":
-        server = ScaleOutServer(models, policy, make_router("round-robin", len(models)))
+        server = ClusterServer(
+            machine, models, [0] * len(models), policy,
+            make_router("round-robin", len(models)),
+        )
         report = server.serve(requests, label=label, arrival_name="poisson")
     elif placement == "shard":
         partition = make_partition("degree", dataset.stream, len(models), seed=0)

@@ -16,8 +16,8 @@ from repro.graph.partition import make_partition
 from repro.hw import Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import (
+    ClusterServer,
     InferenceServer,
-    ScaleOutServer,
     ShardedModel,
     build_replicas,
     generate_requests,
@@ -123,7 +123,9 @@ def test_replicated_serving_merges_per_replica_caches(dataset):
     for replica in replicas:
         make_model_cache(replica, policy="lru", capacity_mb=8.0, staleness_ms=1e12)
     policy = make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0)
-    server = ScaleOutServer(replicas, policy, make_router("round-robin", 2))
+    server = ClusterServer(
+        machine, replicas, [0, 0], policy, make_router("round-robin", 2)
+    )
     report = server.serve(make_requests(dataset, events=2), arrival_name="poisson")
     assert report.cache is not None
     assert report.cache["caches"] == 2

@@ -156,6 +156,25 @@ def test_cli_serve_rejects_overlap_with_scaleout_placement(capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--rate", "nan"), ("--rate", "inf"), ("--duration", "nan"), ("--slo-ms", "-1")],
+)
+def test_cli_serve_rejects_non_finite_inputs(capsys, flag, value):
+    code = main(["serve", "tgat", "--scale", "tiny", flag, value])
+    assert code == 2
+    assert "must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_cli_serve_replicated_with_fidelity(capsys):
+    code = main(
+        ["serve", "tgat", "--scale", "tiny", "--topology", "2xA100-pcie",
+         "--placement", "replicate", "--policy", "slo", "--fidelity"]
+    )
+    assert code == 0
+    assert "fidelity: debt" in capsys.readouterr().out
+
+
 def test_cli_serve_rejects_gpus_flag_on_single_placement(capsys):
     code = main(["serve", "tgat", "--scale", "tiny", "--topology", "4xA100-pcie", "--gpus", "4"])
     assert code == 2

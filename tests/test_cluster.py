@@ -13,15 +13,16 @@ from repro.hw import (
     cluster_spec,
 )
 from repro.models.tgat import TGAT, TGATConfig
+from repro.obs import MetricsRegistry, Tracer
 from repro.serve import (
     AutoscaleConfig,
     Autoscaler,
     ClusterServer,
-    ScaleOutServer,
     build_cluster_replicas,
     build_replicas,
     generate_requests,
     make_arrival_process,
+    make_fidelity_controller,
     make_policy,
     make_router,
     payload_nbytes,
@@ -53,6 +54,25 @@ def serve_cluster(dataset, cluster_name, rate=700.0, seed=0, router="round-robin
     )
     report = server.serve(requests, label=cluster_name, arrival_name=arrival)
     return cluster, report
+
+
+def event_trace(machine):
+    return [
+        (e.kind, e.name, e.resource, e.start_ms, e.end_ms, e.bytes)
+        for e in machine.events
+    ]
+
+
+def one_node_and_bare_fleets(dataset, config):
+    """The same two TGAT replicas on a 1-node cluster and on a bare machine."""
+    cluster = Cluster("1n-2xA100")
+    replicas, nodes = build_cluster_replicas(
+        cluster, lambda machine: TGAT(machine, dataset, config)
+    )
+    machine = Machine.from_spec("2xA100-pcie")
+    with machine.activate():
+        flat = build_replicas(machine, lambda: TGAT(machine, dataset, config))
+    return (cluster, replicas, nodes), (machine, flat, [0] * len(flat))
 
 
 def all_events(cluster):
@@ -158,53 +178,66 @@ class TestNicRouting:
 
 
 class TestSingleNodeIdentity:
-    def test_single_node_cluster_serving_is_event_identical_to_scaleout(self):
-        """The acceptance bar: a 1-node cluster must replay the scale-out
-        server's exact event stream -- same kinds, names, resources, times."""
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("fidelity", [False, True], ids=["full", "fidelity"])
+    def test_replays_the_bare_machine(self, fidelity, traced):
+        """The acceptance bar: ClusterServer on a 1-node cluster and on a bare
+        machine must issue the exact same event stream -- same kinds, names,
+        resources, times -- with and without degradation and tracing."""
         dataset = make_dataset()
         seed = 0
         config = TGATConfig(num_neighbors=10, batch_size=32, seed=seed)
 
-        def requests_for(stream):
-            arrivals = make_arrival_process("poisson", 700.0, seed=seed)
-            return generate_requests(
-                stream, arrivals, duration_ms=300.0,
+        def serve(fleet, replicas, nodes):
+            # Fidelity rides on the slo policy; the overload rate makes it
+            # actually degrade batches.
+            if fidelity:
+                policy = make_policy("slo", max_batch_size=8, batch_timeout_ms=4.0, slo_ms=50.0)
+            else:
+                policy = make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0)
+            arrivals = make_arrival_process("poisson", 4000.0 if fidelity else 700.0, seed=seed)
+            requests = generate_requests(
+                dataset.stream, arrivals, duration_ms=300.0,
                 events_per_request=4, slo_ms=50.0,
             )
+            tracer = Tracer() if traced else None
+            server = ClusterServer(
+                fleet, replicas, nodes, policy,
+                make_router("round-robin", len(replicas)),
+                fidelity=make_fidelity_controller() if fidelity else None,
+                tracer=tracer, metrics=MetricsRegistry() if traced else None,
+            )
+            return server.serve(requests), tracer
 
-        cluster = Cluster("1n-2xA100")
-        replicas, nodes = build_cluster_replicas(
-            cluster, lambda machine: TGAT(machine, dataset, config)
-        )
-        cluster_server = ClusterServer(
-            cluster, replicas, nodes,
-            make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0),
-            make_router("round-robin", len(replicas)),
-        )
-        cluster_report = cluster_server.serve(requests_for(dataset.stream))
+        one_node, bare = one_node_and_bare_fleets(dataset, config)
+        cluster_report, cluster_tracer = serve(*one_node)
+        bare_report, bare_tracer = serve(*bare)
+        cluster, machine = one_node[0], bare[0]
 
-        machine = Machine.from_spec("2xA100-pcie")
-        with machine.activate():
-            flat = build_replicas(machine, lambda: TGAT(machine, dataset, config))
-        scaleout_server = ScaleOutServer(
-            flat,
-            make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0),
-            make_router("round-robin", len(flat)),
-        )
-        scaleout_report = scaleout_server.serve(requests_for(dataset.stream))
-
-        def trace(m):
-            return [
-                (e.kind, e.name, e.resource, e.start_ms, e.end_ms, e.bytes)
-                for e in m.events
-            ]
-
-        assert trace(cluster.nodes[0]) == trace(machine)
+        assert event_trace(cluster.nodes[0]) == event_trace(machine)
         assert cluster.nic_bytes() == 0
-        assert cluster_report.completed == scaleout_report.completed
+        assert cluster_report.completed == bare_report.completed
         assert cluster_report.total_latency().p99_ms == pytest.approx(
-            scaleout_report.total_latency().p99_ms
+            bare_report.total_latency().p99_ms
         )
+        assert cluster_report.cluster["num_nodes"] == 1
+        assert bare_report.cluster is None
+        assert cluster_report.fidelity == bare_report.fidelity
+        if fidelity:
+            assert bare_report.fidelity["degraded_batches"] > 0
+        if traced:
+            def spans(tracer):
+                return [
+                    (s.name, s.category, s.start_ms, s.end_ms, s.node, s.trace_ids, s.parent_id,
+                     s.attrs)
+                    for s in tracer.spans
+                ]
+
+            assert spans(cluster_tracer) == spans(bare_tracer)
+            assert [i.as_dict() for i in cluster_tracer.instants] == [
+                i.as_dict() for i in bare_tracer.instants
+            ]
+            assert cluster_report.metrics == bare_report.metrics
 
 
 class TestMultiNodeServing:
@@ -327,3 +360,37 @@ class TestColdStart:
         local = server._spin_up(1, 0.0)  # node 0, GPU 1
         remote = server._spin_up(2, 0.0)  # node 1, GPU 0
         assert remote > local > 0
+
+    def test_bare_machine_autoscaling_replays_the_one_node_cluster(self):
+        """Cold starts on a bare machine charge exactly what they charge on
+        a 1-node cluster, whose weight transfers never touch a NIC."""
+        dataset = make_dataset()
+        config = TGATConfig(num_neighbors=10, batch_size=32, seed=0)
+
+        def serve(fleet, replicas, nodes):
+            arrivals = make_arrival_process(
+                "flash-crowd", 500.0, seed=0,
+                flash_at_ms=80.0, flash_duration_ms=120.0, flash_multiplier=6.0,
+            )
+            requests = generate_requests(
+                dataset.stream, arrivals, duration_ms=300.0,
+                events_per_request=4, slo_ms=50.0,
+            )
+            autoscaler = Autoscaler(AutoscaleConfig(
+                min_replicas=1, max_replicas=2, slo_ms=50.0,
+                up_cooldown_ms=10.0, down_cooldown_ms=40.0,
+            ))
+            server = ClusterServer(
+                fleet, replicas, nodes,
+                make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0),
+                make_router("least-latency", len(replicas)), autoscaler=autoscaler,
+            )
+            return server.serve(requests, arrival_name="flash-crowd")
+
+        one_node, bare = one_node_and_bare_fleets(dataset, config)
+        cluster_report = serve(*one_node)
+        bare_report = serve(*bare)
+        assert bare_report.autoscale["scale_ups"] >= 1
+        assert bare_report.autoscale == cluster_report.autoscale
+        assert event_trace(bare[0]) == event_trace(one_node[0].nodes[0])
+        assert any(e.name == "weight_transfer" for e in bare[0].events)

@@ -15,10 +15,7 @@ from repro.obs import (
     Tracer,
     attribute_request,
     build_trace,
-    merge_metrics,
     pick_request,
-    record_completion,
-    record_dispatch,
     top_spans,
     validate_trace,
 )
@@ -31,7 +28,6 @@ from repro.serve import (
     generate_requests,
     make_policy,
     make_router,
-    merge_fidelity,
 )
 
 
@@ -236,56 +232,6 @@ class TestMetrics:
 
 
 class TestMergeHelpers:
-    def _snapshot(self, requests=2, latency=5.0):
-        registry = MetricsRegistry()
-        record_dispatch(registry, batch_size=requests, queue_depth=requests)
-
-        class _Req:
-            slo_violated = False
-            total_ms = latency
-            queue_ms = latency / 2
-            service_ms = latency / 2
-
-        for _ in range(requests):
-            record_completion(registry, _Req())
-        return registry.snapshot(at_ms=10.0)
-
-    def test_merge_metrics_empty_and_none_inputs(self):
-        assert merge_metrics([]) is None
-        assert merge_metrics([None, None]) is None
-
-    def test_merge_metrics_single_snapshot_passes_through(self):
-        snap = self._snapshot(requests=3)
-        merged = merge_metrics([snap, None])
-        assert merged["registries"] == 1
-        assert merged["metrics"]["serve.requests"]["value"] == 3
-
-    def test_merge_metrics_sums_and_peaks(self):
-        merged = merge_metrics([self._snapshot(2, 4.0), self._snapshot(4, 40.0)])
-        m = merged["metrics"]
-        assert merged["registries"] == 2
-        assert m["serve.requests"]["value"] == 6
-        assert m["serve.queue_depth"]["peak"] == 4.0
-        assert m["serve.queue_depth"]["value"] == 6.0  # fleet-wide sum
-        hist = m["serve.latency_total_ms"]
-        assert hist["count"] == 6
-        assert hist["min"] == 4.0 and hist["max"] == 40.0
-        assert sum(hist["buckets"]) == 6
-
-    def test_merge_metrics_rejects_mismatched_histogram_bounds(self):
-        a = self._snapshot()
-        b = self._snapshot()
-        b["metrics"]["serve.latency_total_ms"]["bounds"] = [1.0, 2.0]
-        with pytest.raises(ValueError, match="bounds differ"):
-            merge_metrics([a, b])
-
-    def test_merge_metrics_rejects_type_change(self):
-        a = self._snapshot()
-        b = self._snapshot()
-        b["metrics"]["serve.requests"] = {"type": "gauge", "value": 1.0, "peak": 1.0}
-        with pytest.raises(ValueError, match="changes type"):
-            merge_metrics([a, b])
-
     def test_merge_cache_stats_heterogeneous_fleet(self):
         a = {
             "policy": "lru", "capacity_mb": 4.0, "staleness_ms": 1.0,
@@ -306,28 +252,6 @@ class TestMergeHelpers:
         assert merged["bytes_peak"] == 300
         assert merged["bytes_peak_sum"] == 400
         assert merge_cache_stats([None, {}]) is None
-
-    def test_merge_fidelity_edge_cases(self):
-        assert merge_fidelity([]) is None
-        assert merge_fidelity([None, {}]) is None
-        a = {
-            "debt_score": 1.5, "max_level_seen": 1, "final_level": 0,
-            "fanout_scale": 0.5, "staleness_scale": 2.0,
-            "degraded_batches": 3, "total_dispatches": 10,
-        }
-        b = {
-            "debt_score": 2.0, "max_level_seen": 2, "final_level": 2,
-            "fanout_scale": 0.25, "staleness_scale": 4.0,
-            "degraded_batches": 5, "total_dispatches": 20,
-        }
-        merged = merge_fidelity([a, b])
-        assert merged["debt_score"] == pytest.approx(3.5)
-        assert merged["max_level_seen"] == 2
-        assert merged["final_level"] == 2
-        assert merged["fanout_scale"] == 0.5  # config from the first snapshot
-        assert merged["degraded_batches"] == 8
-        assert merged["total_dispatches"] == 30
-        assert merged["controllers"] == 2
 
 
 class TestCli:

@@ -7,8 +7,8 @@ from repro.graph.partition import make_partition
 from repro.hw import Machine
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import (
+    ClusterServer,
     InferenceServer,
-    ScaleOutServer,
     ShardedModel,
     build_replicas,
     generate_requests,
@@ -20,6 +20,11 @@ from repro.serve import (
 
 def make_dataset():
     return load("wikipedia", scale="tiny")
+
+
+def replicated_server(replicas, policy, router):
+    """ClusterServer over the replicas' bare machine: a one-node fleet."""
+    return ClusterServer(replicas[0].machine, replicas, [0] * len(replicas), policy, router)
 
 
 def make_replicas(dataset, spec, num_gpus, batch_size=32, num_neighbors=10, seed=0):
@@ -42,7 +47,7 @@ def serve_replicated(dataset, spec, num_gpus, rate, router="round-robin",
         events_per_request=4, slo_ms=50.0,
     )
     policy = make_policy("timeout", max_batch_size=8, batch_timeout_ms=4.0)
-    server = ScaleOutServer(replicas, policy, make_router(router, len(replicas)))
+    server = replicated_server(replicas, policy, make_router(router, len(replicas)))
     return server.serve(requests, label=f"{spec}-x{num_gpus}")
 
 
@@ -105,14 +110,14 @@ class TestReplicatedServing:
 
         policy = make_policy("fifo")
         with pytest.raises(TypeError):
-            ScaleOutServer([Blocking(), Blocking()], policy, make_router("jsq", 2))
+            replicated_server([Blocking(), Blocking()], policy, make_router("jsq", 2))
 
     def test_rejects_router_replica_mismatch(self):
         dataset = make_dataset()
         replicas = make_replicas(dataset, "2xA100-pcie", 2)
         policy = make_policy("fifo")
         with pytest.raises(ValueError):
-            ScaleOutServer(replicas, policy, make_router("jsq", 3))
+            replicated_server(replicas, policy, make_router("jsq", 3))
 
     def test_router_feedback_excludes_queue_behind_own_replica(self):
         """The router must see per-batch *execution* time: a batch that sat
@@ -127,7 +132,7 @@ class TestReplicatedServing:
         observed = []
         original = router.notify_complete
         router.notify_complete = lambda i, n, ms: (observed.append(ms), original(i, n, ms))
-        server = ScaleOutServer(replicas, policy, router)
+        server = replicated_server(replicas, policy, router)
         machine = server.machine
 
         def fake(request_id, dispatched, ready):
@@ -135,21 +140,21 @@ class TestReplicatedServing:
                               payload=None, dispatched_ms=dispatched)
             event = StreamEvent(stream="default", resource="a100-sxm",
                                 ready_ms=ready, name="t")
-            return ([request], 0, event, None)
+            return ([request], 0, event, 1.0, None)
 
         # Batch A: dispatched at 0, done at 10.  Batch B: dispatched at 1,
         # done at 18 -- it executed for 8 ms after A finished, though its
         # dispatch->completion span is 17 ms.
         server._inflight = [fake(0, 0.0, 10.0), fake(1, 1.0, 18.0)]
         machine.advance_host(20.0 - machine.host_time_ms)
-        server._retire(0.0, [])
+        server._retire()
         assert observed == [pytest.approx(10.0), pytest.approx(8.0)]
 
     def test_empty_workload_returns_empty_report(self):
         dataset = make_dataset()
         replicas = make_replicas(dataset, "2xA100-pcie", 2)
         policy = make_policy("fifo")
-        server = ScaleOutServer(replicas, policy, make_router("round-robin", 2))
+        server = replicated_server(replicas, policy, make_router("round-robin", 2))
         report = server.serve([])
         assert report.completed == 0 and report.offered == 0
 

@@ -190,3 +190,27 @@ def test_generate_requests_never_outruns_the_stream():
         events_per_request=3,
     )
     assert len(requests) == stream.num_events // 3
+
+
+NON_FINITE_OR_NON_POSITIVE = [float("nan"), float("inf"), -float("inf"), 0.0, -1.0]
+
+
+@pytest.mark.parametrize("rate", NON_FINITE_OR_NON_POSITIVE)
+def test_arrival_process_rejects_bad_rates(rate):
+    with pytest.raises(ValueError, match="arrival rate"):
+        PoissonProcess(rate)
+    with pytest.raises(ValueError, match="arrival rate"):
+        make_arrival_process("flash-crowd", rate)
+
+
+@pytest.mark.parametrize("duration_ms", NON_FINITE_OR_NON_POSITIVE)
+def test_arrival_times_reject_bad_durations(duration_ms):
+    with pytest.raises(ValueError, match="duration"):
+        list(PoissonProcess(100.0).arrival_times_ms(duration_ms))
+
+
+@pytest.mark.parametrize("slo_ms", NON_FINITE_OR_NON_POSITIVE)
+def test_generate_requests_rejects_bad_slo(slo_ms):
+    stream = load("wikipedia", scale="tiny").stream
+    with pytest.raises(ValueError, match="slo_ms"):
+        generate_requests(stream, PoissonProcess(100.0), duration_ms=50.0, slo_ms=slo_ms)
