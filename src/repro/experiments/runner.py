@@ -76,7 +76,17 @@ def _fmt(value: Any) -> str:
 
 
 def new_machine(use_gpu: bool = True, **kwargs) -> Machine:
-    """A fresh machine for one experiment configuration."""
+    """A fresh machine for one experiment configuration.
+
+    The machine runs on the ``shape`` backend unless ``backend=`` is given.
+    The paper experiments report simulated time, memory and breakdowns only,
+    and the shape backend replays the numeric timeline event for event
+    without computing values (``tests/test_backend_equivalence.py`` pins this
+    per model), so dense numerics here would be work nothing reads.  Callers
+    that need values pass ``backend="numeric"``, as the serving experiments
+    do by default.
+    """
+    kwargs.setdefault("backend", "shape")
     return Machine.cpu_gpu(**kwargs) if use_gpu else Machine.cpu_only(**kwargs)
 
 

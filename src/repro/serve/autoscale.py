@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from .._compat import DATACLASS_SLOTS
-from ..core.stats import LatencySummary
+from ..core.stats import percentile
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -226,7 +226,7 @@ class Autoscaler:
     def window_p99_ms(self) -> Optional[float]:
         if not self._latencies:
             return None
-        return LatencySummary.from_values(self._latencies).p99_ms
+        return percentile(self._latencies, 99.0)
 
     def next_ready_ms(self) -> Optional[float]:
         """Earliest pending-replica ready time (a loop wake-up target)."""

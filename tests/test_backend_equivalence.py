@@ -7,6 +7,12 @@ does.  These tests pin the contract that makes the backend usable at all:
 for the serving, scale-out and cache workloads, the *entire simulated
 timeline* -- the ordered event sequence, per-device busy totals, latency
 percentiles and cache hit/miss counters -- is equal between backends.
+
+The paper experiments (``experiments.runner.new_machine``) run on the shape
+backend, so the golden suite no longer exercises numerics there.  The
+per-model test below guards that path: for every registered model, on CPU
+only and on CPU+GPU, warm-up plus one profiled iteration must emit the same
+event stream and elapsed time on both backends.
 """
 
 import numpy as np
@@ -14,9 +20,16 @@ import pytest
 
 from repro.cache import make_model_cache
 from repro.datasets import load as load_dataset
-from repro.experiments import cache_ablation, scaling, serving
+from repro.experiments import (
+    cache_ablation,
+    new_machine,
+    profile_single_iteration,
+    scaling,
+    serving,
+)
 from repro.graph.partition import make_partition
 from repro.hw.machine import Machine
+from repro.models import MODEL_NAMES, build_model
 from repro.models.tgat import TGAT, TGATConfig
 from repro.serve import (
     ClusterServer,
@@ -151,6 +164,35 @@ def test_sharded_scaleout_identical():
         _serve("numeric", placement="shard"),
         _serve("shape", placement="shard"),
     )
+
+
+# -- per-model equivalence (what the paper experiments run on) --------------
+
+
+def _profile_model(name, use_gpu, backend):
+    """Warm-up plus one profiled iteration of ``name`` at tiny scale."""
+    machine = new_machine(use_gpu=use_gpu, backend=backend)
+    with machine.activate():
+        model = build_model(name, machine, scale="tiny")
+    profile, _ = profile_single_iteration(model, machine)
+    return machine, profile
+
+
+@pytest.mark.parametrize("placement", ("cpu_only", "cpu_gpu"))
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_model_iteration_timeline_identical(name, placement):
+    use_gpu = placement == "cpu_gpu"
+    numeric_machine, numeric = _profile_model(name, use_gpu, "numeric")
+    shape_machine, shape = _profile_model(name, use_gpu, "shape")
+    assert numeric_machine.event_count > 0
+    assert _signature(shape_machine) == _signature(numeric_machine)
+    assert shape.elapsed_ms == numeric.elapsed_ms
+
+
+def test_experiment_machines_default_to_the_shape_backend():
+    assert new_machine().shape_mode
+    assert new_machine(use_gpu=False).shape_mode
+    assert not new_machine(backend="numeric").shape_mode
 
 
 # -- experiment-level equivalence (reduced default configs, tiny scale) ------

@@ -7,6 +7,12 @@ figure/table number -- a reordered kernel, a changed cost constant, a float
 that moved by one ulp -- fails loudly instead of silently rewriting the
 paper's numbers.
 
+The experiments build their machines with ``experiments.runner.new_machine``,
+which uses the shape backend: the goldens pin the simulated timeline, not
+tensor values.  The numeric path those machines skip is guarded by the
+per-model ``test_model_iteration_timeline_identical`` in
+``tests/test_backend_equivalence.py``.
+
 Regenerate (only when a change is *supposed* to move the numbers, and say so
 in the commit message)::
 
