@@ -16,7 +16,6 @@ from .sampling import (
     NeighborhoodSample,
     SamplingCostModel,
     TemporalNeighborSampler,
-    recency_decay_weights,
 )
 from .snapshots import (
     GraphSnapshot,
@@ -46,7 +45,6 @@ __all__ = [
     "hash_partition",
     "make_partition",
     "node_degrees",
-    "recency_decay_weights",
     "snapshots_from_events",
     "validate_tbatches",
 ]

@@ -4,8 +4,8 @@ CTDG models (JODIE, TGN, TGAT, DyRep, LDG) consume a stream of timestamped
 interaction events ``(source, destination, timestamp, features)``.  The
 stream is stored as flat numpy arrays sorted by time -- the layout the
 reference implementations load from the Stanford SNAP CSV files -- and
-supports the operations those models need: time-range slicing, mini-batching
-in temporal order, and per-node interaction histories.
+supports the operations those models need: time-range slicing and
+mini-batching in temporal order.
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ class EventStream:
         self.timestamps = np.asarray(timestamps, dtype=np.float64)
         if not (len(self.src) == len(self.dst) == len(self.timestamps)):
             raise ValueError("src, dst and timestamps must have equal length")
+        if np.isnan(self.timestamps).any():
+            first = int(np.isnan(self.timestamps).argmax())
+            raise ValueError(f"timestamp of event {first} is NaN")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("timestamps must be non-decreasing")
         if edge_features is None:
@@ -192,13 +195,6 @@ class EventStream:
 
     # -- per-node views --------------------------------------------------------
 
-    def node_history(self, node: int, before_time: Optional[float] = None) -> np.ndarray:
-        """Positions of events involving ``node`` (optionally before a time)."""
-        mask = (self.src == node) | (self.dst == node)
-        if before_time is not None:
-            mask &= self.timestamps < before_time
-        return np.nonzero(mask)[0]
-
     def active_nodes(self) -> np.ndarray:
         """Sorted unique node ids that appear in the stream."""
         return np.unique(np.concatenate([self.src, self.dst]))
@@ -222,19 +218,3 @@ class EventStream:
         return int(
             self.src.nbytes + self.dst.nbytes + self.timestamps.nbytes + self.edge_features.nbytes
         )
-
-    def to_snapshots(self, num_snapshots: int) -> Sequence[Tuple[float, np.ndarray, np.ndarray]]:
-        """Partition the stream into equal time windows.
-
-        Returns a list of ``(window_end_time, src_slice, dst_slice)`` tuples;
-        used by discrete-time views and the delta-transfer optimization.
-        """
-        if num_snapshots <= 0:
-            raise ValueError("num_snapshots must be positive")
-        start, end = self.time_span
-        edges = np.linspace(start, end, num_snapshots + 1)
-        windows = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            sub = self.between(lo, hi if hi != end else end + 1)
-            windows.append((float(hi), sub.src.copy(), sub.dst.copy()))
-        return windows

@@ -1,23 +1,27 @@
 """Perf-safety regression tests: the optimized hot path must be a pure
 speedup.
 
-The PR that introduced the benchmark subsystem rewrote the scheduler's inner
-loops (incremental busy accounting, cached kernel costs and routes, batched
-kernel charging, vectorized sampler index construction).  These tests pin
-the optimized implementations against reference slow-path implementations --
-verbatim copies of the pre-optimization code -- on randomized programs:
-same intervals, same event logs, same samples, byte for byte.
+The scheduler's inner loops (incremental busy accounting, cached kernel
+costs and routes, batched kernel charging) and the temporal sampler (flat
+index, batched search, gather and draws) were rewritten for speed.  These
+tests pin the optimized implementations against reference slow-path
+implementations -- verbatim copies of the pre-optimization code -- on
+randomized programs: same intervals, same event logs, same samples and the
+same generator state, byte for byte.  The sampler's batched draw is also
+pinned against ``Generator.choice`` itself, so a numpy release that changes
+``choice`` fails here by name.
 """
 
 import numpy as np
 import pytest
 
 from repro.graph.events import EventStream
-from repro.graph.sampling import TemporalNeighborSampler
+from repro.graph.sampling import DRAW_CHUNK_ROWS, SamplingCostModel, TemporalNeighborSampler
 from repro.hw.machine import Machine
 from repro.hw.spec import MACHINE_SPECS
 from repro.hw.stream import union_busy_ms
 from repro.hw.timeline import Timeline
+from repro.tensor.meta import is_placeholder
 
 
 # -- reference slow paths (pre-optimization implementations) ---------------
@@ -256,48 +260,231 @@ def test_disabling_event_recording_changes_nothing_but_the_log(seed):
         assert noisy.default_stream.timeline.intervals == (quiet.default_stream.timeline.intervals)
 
 
+def assert_same_index(sampler, stream):
+    """Each node's slice of the flat index byte-matches the reference lists."""
+    reference = reference_build_index(stream)
+    offsets = sampler._offsets
+    assert len(offsets) == len(reference) + 1
+    flat = (sampler._times, sampler._neighbors, sampler._event_ids)
+    for node, ref_entry in enumerate(reference):
+        for flat_array, ref_array in zip(flat, ref_entry):
+            node_slice = flat_array[offsets[node] : offsets[node + 1]]
+            assert node_slice.dtype == ref_array.dtype
+            assert np.array_equal(node_slice, ref_array)
+    return reference
+
+
+def assert_matches_reference(stream, uniform, seed, queries, backend=None):
+    """Run ``queries`` through the sampler and the reference loop side by side.
+
+    Every sample must match array for array, and both generators must end
+    in the same ``bit_generator.state``.  With a ``backend``, the queries
+    run on a machine of that backend, and each call must charge the cost of
+    the reference's candidate counts.  On ``"shape"``, ids and mask must
+    still match, while times and event ids are placeholders.
+    """
+    sampler = TemporalNeighborSampler(stream, uniform=uniform, seed=seed)
+    reference = assert_same_index(sampler, stream)
+    reference_rng = np.random.default_rng(seed)
+    machine = Machine.from_spec("1xA6000", backend=backend) if backend else None
+    for nodes, times, k in queries:
+        ids, ntimes, events, mask, degrees = reference_sample(
+            reference, reference_rng, uniform, nodes, times, k
+        )
+        if machine is None:
+            sample = sampler.sample(nodes, times, k)
+        else:
+            before_ms = machine.host_time_ms
+            with machine.activate():
+                sample = sampler.sample(nodes, times, k)
+            charged_ms = SamplingCostModel().batch_cost_ms(degrees, k)
+            assert machine.host_time_ms == before_ms + charged_ms
+        assert np.array_equal(sample.neighbor_ids, ids)
+        assert sample.neighbor_ids.dtype == ids.dtype
+        assert np.array_equal(sample.mask, mask)
+        assert sample.mask.dtype == mask.dtype
+        if backend == "shape":
+            assert is_placeholder(sample.neighbor_times)
+            assert is_placeholder(sample.event_indices)
+            assert sample.neighbor_times.shape == ntimes.shape
+            assert sample.event_indices.shape == events.shape
+        else:
+            assert np.array_equal(sample.neighbor_times, ntimes)
+            assert np.array_equal(sample.event_indices, events)
+            assert sample.neighbor_times.dtype == ntimes.dtype
+            assert sample.event_indices.dtype == events.dtype
+    assert sampler._rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+def tied_stream(rng, num_events=400, num_nodes=20):
+    """Integer timestamps (many ties) and a share of self-loops."""
+    timestamps = np.sort(rng.integers(0, 60, size=num_events)).astype(np.float64)
+    src = rng.integers(0, num_nodes, size=num_events)
+    dst = np.where(rng.random(num_events) < 0.1, src, rng.integers(0, num_nodes, size=num_events))
+    return EventStream(src=src, dst=dst, timestamps=timestamps, num_nodes=num_nodes)
+
+
+def tied_queries(rng, stream, ks, batch):
+    """Queries half at exact event timestamps, half at arbitrary times."""
+    queries = []
+    for k in ks:
+        nodes = rng.integers(0, stream.num_nodes, size=batch)
+        exact = rng.choice(stream.timestamps, size=batch)
+        times = np.where(rng.random(batch) < 0.5, exact, rng.uniform(-5.0, 70.0, size=batch))
+        queries.append((nodes, times, k))
+    return queries
+
+
 @pytest.mark.parametrize("seed", [31, 32, 33])
 def test_sampler_matches_reference_slow_path(seed):
     rng = np.random.default_rng(seed)
     stream = random_stream(rng)
-    fast = TemporalNeighborSampler(stream, uniform=True, seed=seed)
-    reference_adjacency = reference_build_index(stream)
-    # Identical index: per-node arrays byte for byte.
-    assert len(fast._adjacency) == len(reference_adjacency)
-    for fast_entry, ref_entry in zip(fast._adjacency, reference_adjacency):
-        for fast_array, ref_array in zip(fast_entry, ref_entry):
-            assert fast_array.dtype == ref_array.dtype
-            assert np.array_equal(fast_array, ref_array)
-    # Identical samples and RNG stream over a random query workload.
-    reference_rng = np.random.default_rng(seed)
+    queries = []
     for k in (3, 7):
-        nodes = rng.integers(0, stream.num_nodes, size=40)
-        times = rng.uniform(0.0, 1200.0, size=40)
-        sample = fast.sample(nodes, times, k)
-        ids, ntimes, events, mask, _ = reference_sample(
-            reference_adjacency, reference_rng, True, nodes, times, k
+        queries.append((rng.integers(0, stream.num_nodes, size=40), rng.uniform(0, 1200, 40), k))
+    assert_matches_reference(stream, True, seed, queries)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "recent"])
+@pytest.mark.parametrize("seed", [41, 42])
+def test_sampler_matches_reference_on_ties_and_self_loops(seed, uniform):
+    rng = np.random.default_rng(seed)
+    stream = tied_stream(rng)
+    assert_matches_reference(stream, uniform, seed, tied_queries(rng, stream, (1, 2, 7, 20), 80))
+
+
+@pytest.mark.parametrize(
+    "backend", [None, "numeric", "shape"], ids=["no-machine", "numeric", "shape"]
+)
+def test_sampler_matches_reference_on_every_backend(backend):
+    rng = np.random.default_rng(43)
+    stream = tied_stream(rng)
+    queries = tied_queries(rng, stream, (2, 7), 60)
+    assert_matches_reference(stream, True, 43, queries, backend=backend)
+
+
+def test_sampler_matches_reference_across_draw_chunks():
+    # Dense history so that more rows than one draw chunk draw at k=2.
+    rng = np.random.default_rng(44)
+    stream = tied_stream(rng, num_events=3000, num_nodes=8)
+    batch = DRAW_CHUNK_ROWS + 700
+    nodes = rng.integers(0, stream.num_nodes, size=batch)
+    times = rng.uniform(30.0, 70.0, size=batch)
+    sampler = TemporalNeighborSampler(stream, seed=44)
+    drawn = sum(
+        int(np.searchsorted(sampler._times[sampler._offsets[n] : sampler._offsets[n + 1]], t)) > 2
+        for n, t in zip(nodes.tolist(), times.tolist())
+    )
+    assert drawn > DRAW_CHUNK_ROWS
+    assert_matches_reference(stream, True, 44, [(nodes, times, 2), (nodes[:3], times[:3], 2)])
+
+
+def test_sampler_matches_reference_on_empty_inputs():
+    empty_stream = EventStream(src=[], dst=[], timestamps=[], num_nodes=3)
+    no_rows = (np.zeros(0, dtype=np.int64), np.zeros(0), 4)
+    one_row = (np.array([1]), np.array([5.0]), 4)
+    assert_matches_reference(empty_stream, True, 45, [no_rows, one_row])
+    rng = np.random.default_rng(45)
+    stream = tied_stream(rng)
+    one_row = (np.array([3]), np.array([70.0]), 2)
+    assert_matches_reference(stream, True, 45, [no_rows, one_row, no_rows])
+
+
+def test_sampler_matches_reference_on_a_hub_node():
+    # Node 0 takes part in every event: more than 10,000 entries, so k=250
+    # reaches Generator.choice's tail-shuffle branch for late query times
+    # and Floyd's algorithm for early ones.
+    rng = np.random.default_rng(46)
+    num_events = 12_500
+    stream = EventStream(
+        src=np.zeros(num_events, dtype=np.int64),
+        dst=rng.integers(1, 40, size=num_events),
+        timestamps=np.sort(rng.uniform(0.0, 100.0, size=num_events)),
+        num_nodes=40,
+    )
+    nodes = np.array([0, 5, 0, 0, 7, 0])
+    times = np.array([100.5, 100.5, 30.0, 95.0, 50.0, 99.0])
+    assert_matches_reference(stream, True, 46, [(nodes, times, 250), (nodes, times, 20)])
+
+
+@pytest.mark.parametrize("seed", [51, 52, 53])
+def test_batched_draw_matches_generator_choice(seed):
+    """The sampler's batched draw is ``sorted(Generator.choice(n, k, replace=False))``.
+
+    Pins the draw-order contract of ``TemporalNeighborSampler.sample``
+    directly against numpy: same values per row and the same generator
+    state afterwards, over random (n, k) pairs, k=1, n=k+1 and rows in
+    choice's tail-shuffle branch (n > 10000 and k > n // 50).
+    """
+    rng = np.random.default_rng(seed)
+    cases = [
+        (1, [2, 3, 50, 10_001, 20_000]),
+        (5, [6, 6, 7] + rng.integers(6, 200, size=30).tolist()),
+        (20, [21] + rng.integers(21, 80, size=40).tolist()),
+        (250, [251, 300, 9_000, 12_000, 10_001, 20_000, 12_600, 12_400]),
+        (2, rng.integers(3, 40, size=DRAW_CHUNK_ROWS + 50).tolist()),
+    ]
+    sampler = TemporalNeighborSampler(EventStream([], [], []), seed=seed)
+    reference_rng = np.random.default_rng(seed)
+    for k, populations in cases:
+        drawn = sampler._draw(np.array(populations, dtype=np.int64), k)
+        for row, n in enumerate(populations):
+            expected = np.sort(reference_rng.choice(n, k, replace=False))
+            assert np.array_equal(drawn[row], expected), (
+                f"batched draw differs from Generator.choice({n}, {k}, replace=False) "
+                f"on numpy {np.__version__}: the choice algorithm changed, so the "
+                "sampler's draw-order contract (graph/sampling.py) no longer holds"
+            )
+        assert sampler._rng.bit_generator.state == reference_rng.bit_generator.state, (
+            f"batched draw consumed a different amount of randomness than "
+            f"Generator.choice on numpy {np.__version__}"
         )
-        assert np.array_equal(sample.neighbor_ids, ids)
-        assert np.array_equal(sample.neighbor_times, ntimes)
-        assert np.array_equal(sample.event_indices, events)
-        assert np.array_equal(sample.mask, mask)
-    # Both generators must have consumed identical draws.
-    assert fast._rng.integers(0, 2**31) == reference_rng.integers(0, 2**31)
 
 
 def test_most_recent_sampling_matches_reference():
     rng = np.random.default_rng(7)
     stream = random_stream(rng)
-    fast = TemporalNeighborSampler(stream, uniform=False, seed=7)
-    reference_adjacency = reference_build_index(stream)
-    reference_rng = np.random.default_rng(7)
     nodes = rng.integers(0, stream.num_nodes, size=60)
     times = rng.uniform(0.0, 1200.0, size=60)
-    sample = fast.sample(nodes, times, 5)
-    ids, ntimes, events, mask, _ = reference_sample(
-        reference_adjacency, reference_rng, False, nodes, times, 5
-    )
-    assert np.array_equal(sample.neighbor_ids, ids)
-    assert np.array_equal(sample.neighbor_times, ntimes)
-    assert np.array_equal(sample.event_indices, events)
-    assert np.array_equal(sample.mask, mask)
+    assert_matches_reference(stream, False, 7, [(nodes, times, 5)])
+
+
+# -- sampler input validation ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "nodes, times, message",
+    [
+        ([-1], [10.0], "node id -1 out of range"),
+        ([25], [10.0], "node id 25 out of range"),
+        ([0, 3, 99], [1.0, 2.0, 3.0], "node id 99 out of range"),
+        ([0, 3], [1.0, np.nan], "query time at row 1 is NaN"),
+    ],
+    ids=["negative-id", "id-num-nodes", "id-past-end", "nan-time"],
+)
+def test_sampler_rejects_invalid_queries(nodes, times, message):
+    stream = random_stream(np.random.default_rng(8))
+    sampler = TemporalNeighborSampler(stream, seed=8)
+    state = sampler._rng.bit_generator.state
+    with pytest.raises(ValueError, match=message):
+        sampler.sample(np.array(nodes), np.array(times), 3)
+    assert sampler._rng.bit_generator.state == state
+
+
+def test_total_degree_rejects_unknown_nodes_and_matches_the_index():
+    stream = random_stream(np.random.default_rng(9))
+    sampler = TemporalNeighborSampler(stream)
+    reference = reference_build_index(stream)
+    degrees = sampler.total_degrees()
+    for node in range(stream.num_nodes):
+        assert sampler.total_degree(node) == degrees[node] == len(reference[node][0])
+    for node in (-1, stream.num_nodes):
+        with pytest.raises(ValueError, match=f"node id {node} out of range"):
+            sampler.total_degree(node)
+
+
+def test_event_stream_rejects_nan_timestamps():
+    with pytest.raises(ValueError, match="timestamp of event 0 is NaN"):
+        EventStream([0, 1], [1, 2], [np.nan, 1.0])
+    with pytest.raises(ValueError, match="timestamp of event 1 is NaN"):
+        EventStream([0, 1], [1, 2], [0.0, np.nan])
