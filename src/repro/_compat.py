@@ -1,6 +1,6 @@
 """Small compatibility shims shared across the package.
 
-The hot-path records (events, intervals, stream markers) want
+Small records (stream markers, kernel costs, cache entries) want
 ``dataclass(slots=True)`` for cheap construction and a smaller memory
 footprint, but ``slots=True`` only exists on Python >= 3.10 and the package
 still supports 3.9.  ``DATACLASS_SLOTS`` expands to ``{"slots": True}`` where

@@ -8,9 +8,10 @@ leaving it (after an implicit device synchronisation) produces a
 kernel events, transfers, synchronisations, warm-up steps, memory activity
 and the device busy timelines.
 
-Cost model of profiling: event records are cheap slotted dataclasses whose
-region tuples are interned by the machine (all events issued inside one
-region share a single tuple object), the busy counters the capture snapshots
+Cost model of profiling: event records are cheap immutable tuple-backed
+records (:class:`~repro.hw.events.Event`) whose region tuples are interned
+by the machine (all events issued inside one region share a single tuple
+object), the busy counters the capture snapshots
 are maintained incrementally by the timelines (O(1) reads, no event-log
 rescans), and a machine built with ``record_events=False`` skips
 materializing the event stream entirely -- detailed profiling is an opt-in

@@ -56,6 +56,11 @@ class EventStream:
         if np.isnan(self.timestamps).any():
             first = int(np.isnan(self.timestamps).argmax())
             raise ValueError(f"timestamp of event {first} is NaN")
+        negative = (self.src < 0) | (self.dst < 0)
+        if negative.any():
+            first = int(negative.argmax())
+            node = self.src[first] if self.src[first] < 0 else self.dst[first]
+            raise ValueError(f"node id {int(node)} of event {first} is negative")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("timestamps must be non-decreasing")
         if edge_features is None:

@@ -247,7 +247,7 @@ class Cluster:
     @staticmethod
     def _charge_issue(machine: Machine, link: Link, interval, nbytes, name, src_name, dst_name):
         """Advance one node's host by a hop's issue overhead and emit its event."""
-        machine.advance_host(link.spec.host_overhead_us * 1e-3)
+        machine.advance_host(link.host_overhead_ms)
         machine._emit(
             kind=TRANSFER,
             name=name,

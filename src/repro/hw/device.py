@@ -58,6 +58,8 @@ class Device:
         self.is_gpu: bool = spec.is_gpu
         self.is_cpu: bool = spec.is_cpu
         self.default_stream: Stream = self.streams.default
+        #: Host time to issue one kernel, in ms (precomputed for the hot path).
+        self.host_overhead_ms: float = spec.host_overhead_us * 1e-3
         #: Memo of :meth:`kernel_cost` keyed by (flops, bytes): DGNN
         #: inference launches long homogeneous sequences of identically
         #: shaped kernels (RNN steps, per-head attention blocks, repeated

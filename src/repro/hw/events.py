@@ -5,14 +5,16 @@ warm-up step or a memory (de)allocation -- produces one event.  The profiler
 in :mod:`repro.core` consumes the event stream to build the breakdowns,
 utilization timelines and memory curves that the paper derives from PyTorch
 Profiler and NVIDIA Nsight Systems traces.
-"""
 
+An :class:`Event` is an immutable, tuple-backed record (a ``NamedTuple``
+subclass with no per-instance ``__dict__``): one kernel charge builds one
+small tuple and appends it to the :class:`EventLog`'s list.  Records are
+built only when the machine records events; with ``record_events=False``
+the charging path creates none.
+"""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
-
-from .._compat import DATACLASS_SLOTS
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 #: Event kinds.
 KERNEL = "kernel"
@@ -28,14 +30,32 @@ MARKER = "marker"
 
 _VALID_KINDS = frozenset({KERNEL, TRANSFER, WARMUP, ALLOC, FREE, SYNC, MARKER})
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class Event:
+
+class _EventFields(NamedTuple):
+    kind: str
+    name: str
+    resource: str
+    start_ms: float
+    end_ms: float
+    flops: float
+    bytes: int
+    region: Tuple[str, ...]
+    src: str
+    dst: str
+    stream: str
+
+
+class Event(_EventFields):
     """A single timestamped action on a simulated device or link.
 
+    An immutable, tuple-backed record: fields compare, hash and pickle as a
+    tuple, and assigning to one raises :class:`AttributeError`.
+
     Attributes:
-        kind: One of ``kernel``, ``transfer``, ``warmup``, ``alloc``, ``free``
-            or ``sync``.
+        kind: One of ``kernel``, ``transfer``, ``warmup``, ``alloc``, ``free``,
+            ``sync`` or ``marker``.
         name: Operation name (e.g. ``"gemm"``, ``"h2d"``, ``"context_init"``).
         resource: Name of the device or link the event occupies.
         start_ms / end_ms: Simulated start and end time in milliseconds.
@@ -48,26 +68,29 @@ class Event:
             for events that do not occupy a stream, e.g. alloc/free).
     """
 
-    kind: str
-    name: str
-    resource: str
-    start_ms: float
-    end_ms: float
-    flops: float = 0.0
-    bytes: int = 0
-    region: Tuple[str, ...] = ()
-    src: str = ""
-    dst: str = ""
-    stream: str = ""
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in _VALID_KINDS:
-            raise ValueError(f"unknown event kind: {self.kind!r}")
-        if self.end_ms < self.start_ms:
-            raise ValueError(
-                f"event {self.name!r} ends ({self.end_ms}) before it starts "
-                f"({self.start_ms})"
-            )
+    def __new__(
+        cls,
+        kind: str,
+        name: str,
+        resource: str,
+        start_ms: float,
+        end_ms: float,
+        flops: float = 0.0,
+        bytes: int = 0,
+        region: Tuple[str, ...] = (),
+        src: str = "",
+        dst: str = "",
+        stream: str = "",
+    ) -> "Event":
+        if kind not in _VALID_KINDS:
+            raise ValueError(f"unknown event kind: {kind!r}")
+        if end_ms < start_ms:
+            raise ValueError(f"event {name!r} ends ({end_ms}) before it starts ({start_ms})")
+        return _new_tuple(
+            cls, (kind, name, resource, start_ms, end_ms, flops, bytes, region, src, dst, stream)
+        )
 
     @property
     def duration_ms(self) -> float:
@@ -78,24 +101,6 @@ class Event:
         """The most specific region label, or ``""`` when unannotated."""
         return self.region[-1] if self.region else ""
 
-    @property
-    def outermost_region(self) -> str:
-        return self.region[0] if self.region else ""
-
-    def in_region(self, label: str) -> bool:
-        """Whether ``label`` appears anywhere in the region stack."""
-        return label in self.region
-
-    def overlaps(self, start_ms: float, end_ms: float) -> bool:
-        """Whether this event overlaps the half-open window [start, end)."""
-        return self.start_ms < end_ms and self.end_ms > start_ms
-
-    def overlap_ms(self, start_ms: float, end_ms: float) -> float:
-        """Length of the overlap between the event and a window."""
-        lo = max(self.start_ms, start_ms)
-        hi = min(self.end_ms, end_ms)
-        return max(0.0, hi - lo)
-
 
 class EventLog:
     """An append-only sequence of :class:`Event` objects.
@@ -103,17 +108,16 @@ class EventLog:
     The machine owns one log per run context; profilers snapshot slices of it.
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ("_events", "append")
 
     def __init__(self) -> None:
         self._events: list[Event] = []
-
-    def append(self, event: Event) -> None:
-        self._events.append(event)
+        #: ``append(event)``: the list's own bound method, so recording an
+        #: event on the charging path is a single C call.
+        self.append = self._events.append
 
     def extend(self, events: Iterable[Event]) -> None:
-        for event in events:
-            self.append(event)
+        self._events.extend(events)
 
     def __len__(self) -> int:
         return len(self._events)
@@ -124,9 +128,6 @@ class EventLog:
     def __getitem__(self, index):
         return self._events[index]
 
-    def clear(self) -> None:
-        self._events.clear()
-
     def snapshot(self) -> Sequence[Event]:
         """An immutable copy of the current event list."""
         return tuple(self._events)
@@ -135,16 +136,7 @@ class EventLog:
         """Events appended at or after position ``index``."""
         return tuple(self._events[index:])
 
-    def of_kind(self, kind: str) -> Sequence[Event]:
-        return tuple(e for e in self._events if e.kind == kind)
-
-    def on_resource(self, resource: str) -> Sequence[Event]:
-        return tuple(e for e in self._events if e.resource == resource)
-
     def on_stream(self, resource: str, stream: str) -> Sequence[Event]:
         """Events issued on one stream of one resource."""
         return tuple(e for e in self._events if e.resource == resource and e.stream == stream)
 
-    def total_time_ms(self, kind: str | None = None) -> float:
-        """Sum of event durations, optionally restricted to one kind."""
-        return sum(e.duration_ms for e in self._events if kind is None or e.kind == kind)

@@ -33,6 +33,8 @@ class Link:
         # Cached identity (the spec is frozen); read on every transfer.
         self.name: str = spec.name
         self.default_stream: Stream = self.streams.default
+        #: Host time to issue one copy, in ms (precomputed for the hot path).
+        self.host_overhead_ms: float = spec.host_overhead_us * 1e-3
         self._bytes_h2d = 0
         self._bytes_d2h = 0
         self._bytes_p2p = 0

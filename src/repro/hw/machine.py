@@ -231,6 +231,9 @@ class Machine:
         self.topology = Topology(self.cpu, self.gpus, link_spec, peer_link_spec=peer_link_spec)
         self.warmup_spec = warmup_spec
         self.events = EventLog()
+        #: The log's append, bound once: every charge that records an event
+        #: calls it.
+        self._append_event = self.events.append
         #: Whether simulated actions are materialized as :class:`Event`
         #: records in :attr:`events`.  Scheduling, timelines, memory pools
         #: and the host clock are identical either way; disabling recording
@@ -464,7 +467,7 @@ class Machine:
         if not self.record_events:
             return None
         event = Event(region=self._region_tuple, **fields)
-        self.events.append(event)
+        self._append_event(event)
         return event
 
     # -- stream events ----------------------------------------------------
@@ -583,13 +586,13 @@ class Machine:
         if device.is_gpu:
             if device.name not in self._ready_gpus:
                 self.initialize_gpu(model_bytes=0, device=device)
-            self._host_time += device.spec.host_overhead_us * 1e-3
+            self._host_time += device.host_overhead_ms
             interval = target.reserve(self._host_time, cost.duration_ms, name)
         elif target.is_default:
             interval = target.reserve(self._host_time, cost.duration_ms, name)
             self._host_time = interval.end_ms
         else:
-            self._host_time += device.spec.host_overhead_us * 1e-3
+            self._host_time += device.host_overhead_ms
             interval = target.reserve(self._host_time, cost.duration_ms, name)
         self._device_flops[device.name] = self._device_flops.get(device.name, 0.0) + flops
         self._event_count += 1
@@ -609,7 +612,7 @@ class Machine:
             "",
             target.name,
         )
-        self.events.append(event)
+        self._append_event(event)
         return event
 
     def launch_kernels(
@@ -640,7 +643,7 @@ class Machine:
             self.initialize_gpu(model_bytes=0, device=device)
         cost = device.kernel_cost(flops, bytes_moved)
         duration = cost.duration_ms
-        overhead = device.spec.host_overhead_us * 1e-3
+        overhead = device.host_overhead_ms
         asynchronous = is_gpu or not target.is_default
         resource = device.name
         region = self._region_tuple
@@ -660,15 +663,17 @@ class Machine:
             if record:
                 events.append(
                     Event(
-                        kind=KERNEL,
-                        name=name,
-                        resource=resource,
-                        start_ms=interval.start_ms,
-                        end_ms=interval.end_ms,
-                        flops=flops,
-                        bytes=ibytes,
-                        region=region,
-                        stream=stream_name,
+                        KERNEL,
+                        name,
+                        resource,
+                        interval.start_ms,
+                        interval.end_ms,
+                        flops,
+                        ibytes,
+                        region,
+                        "",
+                        "",
+                        stream_name,
                     )
                 )
         self._event_count += count
@@ -695,15 +700,19 @@ class Machine:
         if not self.record_events:
             return None
         event = Event(
-            kind=KERNEL,
-            name=name,
-            resource=self.cpu.name,
-            start_ms=interval.start_ms,
-            end_ms=interval.end_ms,
-            region=self._region_tuple,
-            stream=target.name,
+            KERNEL,
+            name,
+            self.cpu.name,
+            interval.start_ms,
+            interval.end_ms,
+            0.0,
+            0,
+            self._region_tuple,
+            "",
+            "",
+            target.name,
         )
-        self.events.append(event)
+        self._append_event(event)
         return event
 
     # -- transfers ----------------------------------------------------------
@@ -788,24 +797,25 @@ class Machine:
                     )
             interval = hop.link.schedule(ready, nbytes, hop.direction, name, stream=target)
             if non_blocking:
-                self._host_time += hop.link.spec.host_overhead_us * 1e-3
+                self._host_time += hop.link.host_overhead_ms
             else:
                 self._host_time = interval.end_ms
             self._event_count += 1
             if self.record_events:
                 event = Event(
-                    kind=TRANSFER,
-                    name=name,
-                    resource=hop.link.name,
-                    start_ms=interval.start_ms,
-                    end_ms=interval.end_ms,
-                    bytes=nbytes,
-                    region=self._region_tuple,
-                    src=src.name,
-                    dst=dst.name,
-                    stream=target.name,
+                    TRANSFER,
+                    name,
+                    hop.link.name,
+                    interval.start_ms,
+                    interval.end_ms,
+                    0.0,
+                    nbytes,
+                    self._region_tuple,
+                    src.name,
+                    dst.name,
+                    target.name,
                 )
-                self.events.append(event)
+                self._append_event(event)
             # A staged route's second hop cannot start before the first
             # hop's copy has landed in host memory.
             ready = interval.end_ms

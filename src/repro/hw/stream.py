@@ -86,7 +86,9 @@ class Stream:
 
     def reserve(self, ready_ms: float, duration_ms: float, label: str) -> Interval:
         """Queue ``duration_ms`` of work behind everything already issued."""
-        return self.timeline.reserve(max(ready_ms, self._not_before), duration_ms, label)
+        # max(ready_ms, not_before), inlined: this runs once per charge.
+        floor = self._not_before
+        return self.timeline.reserve(floor if floor > ready_ms else ready_ms, duration_ms, label)
 
     def record_event(self, at_ms: float, name: str = "event") -> StreamEvent:
         """Capture the completion time of all work issued so far.
@@ -204,11 +206,11 @@ def union_busy_ms(
     spans: List[Tuple[float, float]] = []
     for timeline in timelines:
         first, last = timeline._overlap_range(lo, hi)
-        intervals = timeline._intervals
+        starts = timeline._starts
+        ends = timeline._ends
         for index in range(first, last):
-            interval = intervals[index]
-            clipped_lo = max(interval.start_ms, lo)
-            clipped_hi = min(interval.end_ms, hi)
+            clipped_lo = max(starts[index], lo)
+            clipped_hi = min(ends[index], hi)
             if clipped_hi > clipped_lo:
                 spans.append((clipped_lo, clipped_hi))
     if not spans:

@@ -2,17 +2,20 @@
 
 A :class:`Timeline` records the busy intervals of one simulated resource (a
 device's execution units or the PCIe link).  It answers the questions the
-paper asks of Nsight traces: how busy was the GPU over a window (utilization),
-when does the resource next become free (for scheduling), and how does
-utilization evolve over time (Fig. 9's utilization-vs-time plots).
+paper asks of Nsight traces: how busy was the GPU over a window
+(utilization), and when does the resource next become free (for
+scheduling).
 
-Hot-path accounting: the simulator used to rescan the full interval list on
-every ``busy_ms`` query, which made repeated profiler captures and binned
-utilization series O(n^2) over a run.  The timeline now maintains running
-totals and parallel start/end arrays as intervals are reserved, so
+Storage is columnar: a timeline keeps three parallel lists -- starts, ends
+and labels -- and no per-interval object.  The DGNN hot path reserves one
+interval per kernel, tens of thousands per run, so ``reserve`` appends three
+scalars and returns a cheap tuple-backed :class:`Interval`; the
+:attr:`Timeline.intervals` view and iteration build ``Interval`` records from
+the columns only when someone reads them.  On top of the columns the
+timeline maintains running totals, so
 
 * unclipped ``busy_ms()`` is O(1) (a stored running sum, accumulated in
-  insertion order so the float result is bit-identical to the old scan);
+  insertion order so the float result is bit-identical to a full scan);
 * windowed ``busy_ms(lo, hi)`` binary-searches the overlapping range and
   only walks the intervals that actually intersect the window;
 * the contiguous-run union total that :func:`repro.hw.stream.union_busy_ms`
@@ -22,23 +25,30 @@ totals and parallel start/end arrays as intervals are reserved, so
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Tuple
 
-from .._compat import DATACLASS_SLOTS
+_new_tuple = tuple.__new__
 
 
-@dataclass(frozen=True, **DATACLASS_SLOTS)
-class Interval:
-    """A closed-open busy interval ``[start_ms, end_ms)`` with a label."""
-
+class _IntervalFields(NamedTuple):
     start_ms: float
     end_ms: float
-    label: str = ""
+    label: str
 
-    def __post_init__(self) -> None:
-        if self.end_ms < self.start_ms:
+
+class Interval(_IntervalFields):
+    """A closed-open busy interval ``[start_ms, end_ms)`` with a label.
+
+    An immutable, tuple-backed record: fields compare, hash and pickle as a
+    tuple, and assigning to one raises :class:`AttributeError`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, start_ms: float, end_ms: float, label: str = "") -> "Interval":
+        if end_ms < start_ms:
             raise ValueError("interval ends before it starts")
+        return _new_tuple(cls, (start_ms, end_ms, label))
 
     @property
     def duration_ms(self) -> float:
@@ -46,37 +56,32 @@ class Interval:
 
 
 class Timeline:
-    """Append-only list of non-overlapping, time-ordered busy intervals.
+    """Append-only, time-ordered, non-overlapping busy intervals.
 
     The simulator always schedules a new interval to start at or after the
     current ``free_at`` point, so intervals are naturally sorted and disjoint;
-    this class enforces that invariant.
+    :meth:`reserve` enforces that invariant.
     """
 
     __slots__ = (
         "name",
-        "_intervals",
         "_starts",
         "_ends",
+        "_labels",
         "_busy_total",
         "_merged_total",
         "_run_start",
         "_run_end",
-        "_disjoint",
     )
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._intervals: List[Interval] = []
-        # Scheduling keeps intervals sorted and disjoint; reporting-only
-        # timelines built by :meth:`merged` may overlap and fall back to a
-        # full scan for window queries.
-        self._disjoint = True
-        # Parallel arrays for O(log n) window queries.
+        # Parallel columns, one entry per interval (sorted and disjoint).
         self._starts: List[float] = []
         self._ends: List[float] = []
+        self._labels: List[str] = []
         # Running sum of durations, accumulated in insertion order so the
-        # float value matches the old full rescan bit for bit.
+        # float value matches a full rescan bit for bit.
         self._busy_total = 0.0
         # Incremental merged-run accounting for union_busy_ms: completed
         # contiguous runs plus the currently open run [run_start, run_end).
@@ -99,41 +104,40 @@ class Timeline:
         """
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
-        last_end = self._ends[-1] if self._ends else 0.0
+        ends = self._ends
+        last_end = ends[-1] if ends else 0.0
         start = ready_ms if ready_ms > last_end else last_end
         end = start + duration_ms
-        interval = Interval(start, end, label)
-        self._intervals.append(interval)
-        self._starts.append(start)
-        self._ends.append(end)
-        # Accumulate end - start (not duration_ms): the old full rescan
-        # summed interval.duration_ms, and start + d - start can differ from
-        # d in the last ulp.
-        self._busy_total += end - start
         # Merged-run bookkeeping: a gap closes the open run, a touching or
         # first interval extends it (start >= last_end always holds here).
-        if len(self._intervals) == 1:
+        if not ends:
             self._run_start = start
-            self._run_end = end
         elif start > self._run_end:
             self._merged_total += self._run_end - self._run_start
             self._run_start = start
-            self._run_end = end
-        else:
-            self._run_end = end
-        return interval
+        self._run_end = end
+        self._starts.append(start)
+        ends.append(end)
+        self._labels.append(label)
+        # Accumulate end - start (not duration_ms): the busy total is the
+        # sum of interval durations, and start + d - start can differ from
+        # d in the last ulp.
+        self._busy_total += end - start
+        # end >= start by construction, so the record skips re-validation.
+        return _new_tuple(Interval, (start, end, label))
 
     # -- queries --------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._intervals)
+        return len(self._ends)
 
-    def __iter__(self):
-        return iter(self._intervals)
+    def __iter__(self) -> Iterator[Interval]:
+        return map(Interval._make, zip(self._starts, self._ends, self._labels))
 
     @property
-    def intervals(self) -> Sequence[Interval]:
-        return tuple(self._intervals)
+    def intervals(self) -> Tuple[Interval, ...]:
+        """Every reserved interval in order, built from the columns."""
+        return tuple(self)
 
     def busy_ms(self, start_ms: float | None = None, end_ms: float | None = None) -> float:
         """Total busy time, optionally clipped to a window."""
@@ -153,8 +157,6 @@ class Timeline:
 
     def _overlap_range(self, lo: float, hi: float) -> Tuple[int, int]:
         """Index range [first, last) of intervals that may overlap [lo, hi)."""
-        if not self._disjoint:
-            return (0, len(self._intervals))
         # Intervals are sorted and disjoint: everything ending at or before
         # ``lo`` and everything starting at or after ``hi`` is irrelevant.
         first = bisect_right(self._ends, lo)
@@ -171,7 +173,7 @@ class Timeline:
         maintained incrementally and returned in O(1).
         """
         if start_ms is None and end_ms is None:
-            if not self._intervals:
+            if not self._ends:
                 return 0.0
             return self._merged_total + (self._run_end - self._run_start)
         lo = start_ms if start_ms is not None else float("-inf")
@@ -196,78 +198,3 @@ class Timeline:
         if run_lo is not None:
             total += run_hi - run_lo
         return total
-
-    def utilization(self, start_ms: float, end_ms: float) -> float:
-        """Fraction of the window [start, end) during which the resource is busy."""
-        if end_ms <= start_ms:
-            return 0.0
-        return self.busy_ms(start_ms, end_ms) / (end_ms - start_ms)
-
-    def utilization_series(
-        self, start_ms: float, end_ms: float, bin_ms: float
-    ) -> List[Tuple[float, float]]:
-        """Binned utilization over a window.
-
-        Returns a list of ``(bin_start_ms, utilization)`` pairs covering the
-        window in steps of ``bin_ms``; this is the data behind the paper's
-        Fig. 9 GPU-utilization-over-time plots.
-        """
-        if bin_ms <= 0:
-            raise ValueError("bin_ms must be positive")
-        if end_ms <= start_ms:
-            return []
-        series: List[Tuple[float, float]] = []
-        t = start_ms
-        while t < end_ms:
-            hi = min(t + bin_ms, end_ms)
-            series.append((t, self.utilization(t, hi)))
-            t += bin_ms
-        return series
-
-    def span(self) -> Tuple[float, float]:
-        """(first start, last end) of the recorded intervals; (0, 0) if empty."""
-        if not self._intervals:
-            return (0.0, 0.0)
-        return (self._starts[0], self._ends[-1])
-
-    def idle_gaps(self, min_gap_ms: float = 0.0) -> List[Interval]:
-        """Idle gaps between consecutive busy intervals longer than ``min_gap_ms``.
-
-        Long idle gaps on the GPU while the CPU is busy are the signature of
-        the paper's workload-imbalance bottleneck.
-        """
-        gaps: List[Interval] = []
-        for prev, nxt in zip(self._intervals, self._intervals[1:]):
-            gap = nxt.start_ms - prev.end_ms
-            if gap > min_gap_ms:
-                gaps.append(Interval(prev.end_ms, nxt.start_ms, "idle"))
-        return gaps
-
-    def merged(self, other: "Timeline", name: str = "") -> "Timeline":
-        """Return a new timeline containing both resources' intervals, sorted.
-
-        The merged timeline may contain overlapping intervals; it is intended
-        only for reporting, not for further scheduling.
-        """
-        merged = Timeline(name or f"{self.name}+{other.name}")
-        merged._disjoint = False
-        run_lo = run_hi = None
-        for interval in sorted(
-            list(self._intervals) + list(other._intervals),
-            key=lambda i: (i.start_ms, i.end_ms),
-        ):
-            merged._intervals.append(interval)
-            merged._starts.append(interval.start_ms)
-            merged._ends.append(interval.end_ms)
-            merged._busy_total += interval.duration_ms
-            if run_lo is None:
-                run_lo, run_hi = (interval.start_ms, interval.end_ms)
-            elif interval.start_ms > run_hi:
-                merged._merged_total += run_hi - run_lo
-                run_lo, run_hi = (interval.start_ms, interval.end_ms)
-            else:
-                run_hi = max(run_hi, interval.end_ms)
-        if run_lo is not None:
-            merged._run_start = run_lo
-            merged._run_end = run_hi
-        return merged

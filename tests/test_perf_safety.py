@@ -12,15 +12,18 @@ pinned against ``Generator.choice`` itself, so a numpy release that changes
 ``choice`` fails here by name.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.graph.events import EventStream
 from repro.graph.sampling import DRAW_CHUNK_ROWS, SamplingCostModel, TemporalNeighborSampler
+from repro.hw.events import KERNEL, Event
 from repro.hw.machine import Machine
 from repro.hw.spec import MACHINE_SPECS
 from repro.hw.stream import union_busy_ms
-from repro.hw.timeline import Timeline
+from repro.hw.timeline import Interval, Timeline
 from repro.tensor.meta import is_placeholder
 
 
@@ -185,10 +188,22 @@ def test_windowed_busy_matches_reference_scan(seed):
     rng = np.random.default_rng(seed)
     timeline = Timeline("t")
     cursor = 0.0
-    for _ in range(300):
+    # Reference schedule: each interval starts at its ready time or at the
+    # previous interval's end, whichever is later.
+    expected = []
+    for index in range(300):
         cursor += float(rng.uniform(0.0, 2.0))
-        timeline.reserve(cursor, float(rng.uniform(0.0, 1.5)), "op")
+        duration = float(rng.uniform(0.0, 1.5))
+        label = f"op{index % 3}"
+        start = max(cursor, expected[-1][1]) if expected else cursor
+        expected.append((start, start + duration, label))
+        returned = timeline.reserve(cursor, duration, label)
+        assert tuple(returned) == expected[-1]
     intervals = list(timeline)
+    assert len(timeline) == len(expected)
+    assert [tuple(interval) for interval in intervals] == expected
+    assert [tuple(interval) for interval in timeline.intervals] == expected
+    assert all(type(interval) is Interval for interval in timeline.intervals)
     assert timeline.busy_ms() == reference_busy_ms(intervals)
     for _ in range(200):
         lo = float(rng.uniform(-10.0, 600.0))
@@ -196,6 +211,36 @@ def test_windowed_busy_matches_reference_scan(seed):
         assert timeline.busy_ms(lo, hi) == reference_busy_ms(intervals, lo, hi)
         assert timeline.busy_ms(lo, None) == reference_busy_ms(intervals, lo, None)
         assert timeline.busy_ms(None, hi) == reference_busy_ms(intervals, None, hi)
+
+
+def test_records_validate_at_construction():
+    with pytest.raises(ValueError, match="unknown event kind: 'bogus'"):
+        Event("bogus", "k", "gpu", 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"event 'k' ends \(1.0\) before it starts \(2.0\)"):
+        Event(KERNEL, "k", "gpu", 2.0, 1.0)
+    with pytest.raises(ValueError, match="interval ends before it starts"):
+        Interval(2.0, 1.0, "op")
+    with pytest.raises(ValueError, match="duration must be non-negative"):
+        Timeline("t").reserve(0.0, -1.0, "op")
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Event(KERNEL, "k", "gpu", 0.0, 1.0, 2.0, 8, ("outer", "inner"), stream="s"), "end_ms"),
+        (Interval(0.0, 1.0, "op"), "label"),
+    ],
+)
+def test_records_are_immutable_hashable_and_picklable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 5.0)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    twin = type(record)(*record)
+    assert twin == record and hash(twin) == hash(record)
+    restored = pickle.loads(pickle.dumps(record))
+    assert restored == record and type(restored) is type(record)
+    assert restored.duration_ms == 1.0
 
 
 @pytest.mark.parametrize("seed", [3, 4])
@@ -488,3 +533,10 @@ def test_event_stream_rejects_nan_timestamps():
         EventStream([0, 1], [1, 2], [np.nan, 1.0])
     with pytest.raises(ValueError, match="timestamp of event 1 is NaN"):
         EventStream([0, 1], [1, 2], [0.0, np.nan])
+
+
+def test_event_stream_rejects_negative_node_ids():
+    with pytest.raises(ValueError, match="node id -1 of event 0 is negative"):
+        EventStream([-1, 0], [0, 1], [0.0, 1.0])
+    with pytest.raises(ValueError, match="node id -3 of event 1 is negative"):
+        EventStream([0, 1], [1, -3], [0.0, 1.0])
